@@ -52,6 +52,7 @@ from .stats import (
     std_normal_cdf,
 )
 from .stochastic import (
+    EndpointStatistics,
     PathEnsemble,
     SphereStepParams,
     SqrtPath,
@@ -64,6 +65,7 @@ from .stochastic import (
     sqrt_endpoint_statistics,
     sqrt_path,
     square_identity_residuals,
+    stream_endpoint_statistics,
     wick_rotate_samples,
 )
 from .triangle import (

@@ -117,8 +117,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("seed must be non-negative")
     if config.steps < 1 or config.trials < 1:
         raise UsageError("trials and steps must be >= 1")
-    if not config.horizon_T > 0:
-        raise UsageError("horizon must be positive")
+    if not (config.horizon_T > 0 and math.isfinite(config.horizon_T)):
+        raise UsageError("horizon must be positive and finite")
     if config.n_bins < 1:
         raise UsageError("bins must be >= 1")
     if not 0.0 < config.alpha < 1.0:
@@ -231,16 +231,16 @@ def cmd_fig3(config: RunConfig) -> int:
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    ensemble = stochastic.brownian_increments(
+    summary = stochastic.stream_endpoint_statistics(
         config.seed, config.trials, config.steps, config.horizon_T
     )
-    endpoints = ensemble.increments.sum(axis=1)
+    endpoints = summary.brownian_endpoints
     scale = endpoints.std()
     if scale == 0.0:
         raise UsageError("degenerate ensemble: endpoint variance is zero")
     brownian_scaled = (endpoints - endpoints.mean()) / scale
-    real_ch, imag_ch = stochastic.sqrt_endpoint_statistics(ensemble)
-    max_step, max_path = stochastic.square_identity_residuals(ensemble)
+    real_ch, imag_ch = summary.real_channel, summary.imag_channel
+    max_step, max_path = summary.max_step_residual, summary.max_path_residual
 
     checks = []
     reports = {}

@@ -9,6 +9,15 @@ the strongest checkable meaning of "square root of a Wiener process".
 Randomness uses one counter-based (Philox) substream per trial, keyed by
 (seed, trial index), so any partition of trials across workers reproduces
 the serial ensemble bit-exactly.
+
+The same property lets ``fig3`` stream: ``stream_endpoint_statistics``
+generates blocks of about 2**17 increments into one reused buffer, resetting
+a single Philox generator to each trial's substream, and one block kernel
+reduces every block to its per-trial W_T and square-root endpoint and to the
+block's square-identity maxima.  The trials x steps ensemble is never held,
+and the results are bit-identical to building it with
+``brownian_increments`` and reducing it with ``sqrt_endpoint_statistics``
+and ``square_identity_residuals``, which run the same kernel over slices.
 """
 from __future__ import annotations
 
@@ -24,7 +33,13 @@ from .clifford import CliffordElement, gamma_basis
 # mirror-symmetric rays about the real axis.
 WICK_FACTOR = cmath.exp(-1j * math.pi / 4.0)
 
-_DEFAULT_CHUNK = 4096
+# Increments per streamed block (at least one row): a block and the kernel's
+# temporaries stay a few MiB whatever the ensemble size.
+_BLOCK_ELEMENTS = 2**17
+
+# Parcel values of the signs +1 and -1, as parcel_from_bernoulli maps them;
+# the block kernel squares each root increment through these.
+_PARCEL = (1.0, 1j)
 
 
 @dataclass(frozen=True)
@@ -36,6 +51,17 @@ class PathEnsemble:
     steps: int
     horizon_T: float
     increments: np.ndarray  # shape (trials, steps), variance T/steps per entry
+
+
+@dataclass(frozen=True)
+class EndpointStatistics:
+    """Per-trial summaries of one seeded ensemble: everything ``fig3`` reads from it."""
+
+    brownian_endpoints: np.ndarray  # W_T per trial
+    real_channel: np.ndarray        # standardized channels of the Wick-rotated
+    imag_channel: np.ndarray        # square-root endpoints
+    max_step_residual: float        # see square_identity_residuals
+    max_path_residual: float
 
 
 @dataclass(frozen=True)
@@ -67,10 +93,42 @@ class SphereStepParams:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
-def _trial_generator(seed: int, trial: int) -> np.random.Generator:
-    # Philox counter space is 256 bits; placing the trial index in the top
-    # word gives every trial 2**192 private blocks.
-    return np.random.Generator(np.random.Philox(key=seed, counter=trial << 192))
+def _check_ensemble_args(seed: int, trials: int, steps: int, horizon_T: float) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
+    if trials < 1 or steps < 1:
+        raise ValueError(f"trials and steps must be >= 1, got {trials}, {steps}")
+    if not (horizon_T > 0 and math.isfinite(horizon_T)):
+        raise ValueError(f"horizon_T must be positive and finite, got {horizon_T}")
+
+
+def _block_rows(steps: int) -> int:
+    return max(1, _BLOCK_ELEMENTS // steps)
+
+
+def _row_source(seed: int, steps: int, horizon_T: float):
+    """Return ``fill(rows, first_trial)``, writing trial first_trial + i into rows[i].
+
+    One Philox and one Generator serve every row.  Before each row the bit
+    generator is reset to the state a fresh ``Philox(key=seed,
+    counter=trial << 192)`` starts in: the counter space is 256 bits, and the
+    trial index in the top word gives every trial 2**192 private blocks.
+    ``state`` is the snapshot of the fresh generator (output buffer spent,
+    no cached 32-bit half), so only its counter changes between rows.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    generator = np.random.Generator(bit_generator)
+    state = bit_generator.state
+    counter = state["state"]["counter"]
+    scale = math.sqrt(horizon_T / steps)
+
+    def fill(rows: np.ndarray, first_trial: int) -> None:
+        for i, row in enumerate(rows):
+            counter[:] = (0, 0, 0, first_trial + i)
+            bit_generator.state = state
+            row[:] = generator.normal(0.0, scale, steps)
+
+    return fill
 
 
 def increment_block(seed: int, first_trial: int, n_trials: int, steps: int,
@@ -81,21 +139,14 @@ def increment_block(seed: int, first_trial: int, n_trials: int, steps: int,
     (seed, trial index), so blocks computed in any order concatenate into
     the same ensemble.
     """
-    scale = math.sqrt(horizon_T / steps)
     block = np.empty((n_trials, steps))
-    for i in range(n_trials):
-        block[i] = _trial_generator(seed, first_trial + i).normal(0.0, scale, size=steps)
+    _row_source(seed, steps, horizon_T)(block, first_trial)
     return block
 
 
 def brownian_increments(seed: int, trials: int, steps: int, horizon_T: float) -> PathEnsemble:
     """Ensemble of i.i.d. N(0, T/steps) increments, bit-reproducible from the arguments."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-    if trials < 1 or steps < 1:
-        raise ValueError(f"trials and steps must be >= 1, got {trials}, {steps}")
-    if not horizon_T > 0:
-        raise ValueError(f"horizon_T must be positive, got {horizon_T}")
+    _check_ensemble_args(seed, trials, steps, horizon_T)
     increments = increment_block(seed, 0, trials, steps, horizon_T)
     return PathEnsemble(seed=seed, trials=trials, steps=steps,
                         horizon_T=horizon_T, increments=increments)
@@ -133,34 +184,61 @@ def wick_rotate_samples(z) -> np.ndarray:
     return np.asarray(z, dtype=np.complex128) * WICK_FACTOR
 
 
-def _chunked(trials: int, chunk: int):
-    for lo in range(0, trials, chunk):
-        yield lo, min(lo + chunk, trials)
+def _reduce_block(block: np.ndarray, parcel=_PARCEL):
+    """Per-row ``W_T`` and square-root endpoint, plus the block's square-identity maxima.
 
-
-def _sqrt_endpoints(block: np.ndarray) -> np.ndarray:
-    # Endpoint of the square-root path for each row: positive increments
-    # accumulate on the real axis, negative ones on the imaginary axis.
-    root = np.sqrt(np.abs(block))
-    real = np.where(block >= 0, root, 0.0).sum(axis=1)
-    imag = np.where(block < 0, root, 0.0).sum(axis=1)
-    return real + 1j * imag
-
-
-def sqrt_endpoint_statistics(ensemble: PathEnsemble,
-                             chunk: int = _DEFAULT_CHUNK) -> tuple[np.ndarray, np.ndarray]:
-    """Wick-rotated square-root endpoints, split into centered unit-variance channels.
-
-    Per trial: sum the square-root increments, rotate by exp(-i pi/4), and
-    split into real and imaginary parts.  Each channel is then centered and
-    scaled by its population standard deviation (the raw sums carry a
-    positive drift from E|dW|**(1/2) that the rotation does not remove).
+    Increments >= 0 (-0.0 included, as in ``signs_to_bernoulli``) take parcel
+    1 and accumulate on the real axis; negative ones take parcel i and
+    accumulate on the imaginary axis.  ``parcel`` holds the values of the
+    signs +1 and -1 that each root increment is squared through.
     """
-    if ensemble.trials < 100:
-        raise ValueError(f"endpoint statistics need >= 100 trials, got {ensemble.trials}")
-    endpoints = np.empty(ensemble.trials, dtype=np.complex128)
-    for lo, hi in _chunked(ensemble.trials, chunk):
-        endpoints[lo:hi] = _sqrt_endpoints(ensemble.increments[lo:hi])
+    root = np.sqrt(np.abs(block))
+    plus = np.where(block >= 0, root, 0.0)
+    minus = np.where(block < 0, root, 0.0)
+    w_T = block.sum(axis=1)
+    endpoints = plus.sum(axis=1) + 1j * minus.sum(axis=1)
+    squared = (parcel[0] * plus + parcel[1] * minus) ** 2
+    step = (np.abs(squared - block) / np.maximum(1.0, np.abs(block))).max()
+    path = np.abs(squared.sum(axis=1) - w_T).max()
+    return w_T, endpoints, step, path
+
+
+def _reduce_blocks(blocks, trials: int):
+    """Run the block kernel over ``(first_row, block)`` pairs covering ``trials`` rows.
+
+    The maxima accumulate with ``np.maximum`` so that a NaN residual in any
+    block reaches the result instead of losing to 0.0.
+    """
+    w_T = np.empty(trials)
+    endpoints = np.empty(trials, dtype=np.complex128)
+    max_step = max_path = 0.0
+    for lo, block in blocks:
+        hi = lo + len(block)
+        w_T[lo:hi], endpoints[lo:hi], step, path = _reduce_block(block)
+        max_step = np.maximum(max_step, step)
+        max_path = np.maximum(max_path, path)
+    return w_T, endpoints, float(max_step), float(max_path)
+
+
+def _ensemble_blocks(ensemble: PathEnsemble, chunk: int | None):
+    rows = chunk or _block_rows(ensemble.steps)
+    return ((lo, ensemble.increments[lo:lo + rows]) for lo in range(0, ensemble.trials, rows))
+
+
+def _streamed_blocks(seed: int, trials: int, steps: int, horizon_T: float):
+    # One buffer serves every block: each is reduced before the next is drawn.
+    fill = _row_source(seed, steps, horizon_T)
+    rows = _block_rows(steps)
+    buffer = np.empty((min(rows, trials), steps))
+    for lo in range(0, trials, rows):
+        block = buffer[:min(rows, trials - lo)]
+        fill(block, lo)
+        yield lo, block
+
+
+def _standard_channels(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if len(endpoints) < 100:
+        raise ValueError(f"endpoint statistics need >= 100 trials, got {len(endpoints)}")
     rotated = endpoints * WICK_FACTOR
     channels = []
     for values in (rotated.real, rotated.imag):
@@ -171,25 +249,48 @@ def sqrt_endpoint_statistics(ensemble: PathEnsemble,
     return channels[0], channels[1]
 
 
+def sqrt_endpoint_statistics(ensemble: PathEnsemble,
+                             chunk: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Wick-rotated square-root endpoints, split into centered unit-variance channels.
+
+    Per trial: sum the square-root increments, rotate by exp(-i pi/4), and
+    split into real and imaginary parts.  Each channel is then centered and
+    scaled by its population standard deviation (the raw sums carry a
+    positive drift from E|dW|**(1/2) that the rotation does not remove).
+    ``chunk`` rows are reduced at a time; the result does not depend on it.
+    """
+    _, endpoints, _, _ = _reduce_blocks(_ensemble_blocks(ensemble, chunk), ensemble.trials)
+    return _standard_channels(endpoints)
+
+
 def square_identity_residuals(ensemble: PathEnsemble,
-                              chunk: int = _DEFAULT_CHUNK) -> tuple[float, float]:
+                              chunk: int | None = None) -> tuple[float, float]:
     """Worst-case defect of the defining identity over the whole ensemble.
 
     Returns ``(max_step, max_path)``: the max per-step value of
     |(dY)**2 - dW| / max(1, |dW|) and the max per-path value of
-    |sum (dY)**2 - W_T|.
+    |sum (dY)**2 - W_T|.  A NaN anywhere in the ensemble makes both NaN.
     """
-    max_step = 0.0
-    max_path = 0.0
-    for lo, hi in _chunked(ensemble.trials, chunk):
-        block = ensemble.increments[lo:hi]
-        root = np.sqrt(np.abs(block))
-        squared = (np.where(block >= 0, root, 0.0) + 1j * np.where(block < 0, root, 0.0)) ** 2
-        step = (np.abs(squared - block) / np.maximum(1.0, np.abs(block))).max()
-        path = np.abs(squared.sum(axis=1) - block.sum(axis=1)).max()
-        max_step = max(max_step, float(step))
-        max_path = max(max_path, float(path))
+    _, _, max_step, max_path = _reduce_blocks(_ensemble_blocks(ensemble, chunk),
+                                              ensemble.trials)
     return max_step, max_path
+
+
+def stream_endpoint_statistics(seed: int, trials: int, steps: int,
+                               horizon_T: float) -> EndpointStatistics:
+    """The ``fig3`` summaries of the seeded ensemble, generated and reduced block by block.
+
+    Bit-identical to ``brownian_increments`` followed by
+    ``sqrt_endpoint_statistics`` and ``square_identity_residuals``, while only
+    one block of increments is held at a time.
+    """
+    _check_ensemble_args(seed, trials, steps, horizon_T)
+    w_T, endpoints, max_step, max_path = _reduce_blocks(
+        _streamed_blocks(seed, trials, steps, horizon_T), trials)
+    real_channel, imag_channel = _standard_channels(endpoints)
+    return EndpointStatistics(brownian_endpoints=w_T, real_channel=real_channel,
+                              imag_channel=imag_channel, max_step_residual=max_step,
+                              max_path_residual=max_path)
 
 
 def sphere_sqrt_step(params: SphereStepParams, dU1: float, dU2: float,

@@ -64,6 +64,16 @@ def test_fig3_rejects_bad_flag_values(tmp_path):
     assert main(["fig3", "--horizon", "-2", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_fig3_rejects_non_finite_horizon(tmp_path, horizon):
+    out = tmp_path / "x"
+    assert main(["fig3", *FAST_FIG3, "--horizon", horizon, "--out", str(out)]) == EXIT_USAGE
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"horizon_T={horizon}\n")
+    assert main(["fig3", *FAST_FIG3, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
 def test_fig3_statistical_failure_exit_code(tmp_path):
     # alpha=0.99 shrinks the KS threshold below what a correct sampler
     # achieves; at this pinned seed every check fails

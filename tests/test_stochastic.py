@@ -45,8 +45,9 @@ def test_brownian_increments_guards():
         brownian_increments(1, 0, 1, 1.0)
     with pytest.raises(ValueError):
         brownian_increments(1, 1, 0, 1.0)
-    with pytest.raises(ValueError):
-        brownian_increments(1, 1, 1, 0.0)
+    for horizon in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            brownian_increments(1, 1, 1, horizon)
 
 
 def test_endpoint_variance_matches_horizon():
@@ -161,6 +162,17 @@ def test_square_identity_residuals_small_ensemble():
     max_step, max_path = square_identity_residuals(brownian_increments(19, 400, 250, 1.0))
     assert max_step <= 1e-15
     assert max_path <= 1e-13
+
+
+@pytest.mark.parametrize("row", [0, 39])
+def test_square_identity_residuals_propagate_nan(row):
+    increments = brownian_increments(19, 40, 8, 1.0).increments
+    increments[row, 3] = np.nan
+    ensemble = PathEnsemble(seed=19, trials=40, steps=8, horizon_T=1.0,
+                            increments=increments)
+    for chunk in (None, 1):
+        max_step, max_path = square_identity_residuals(ensemble, chunk=chunk)
+        assert math.isnan(max_step) and math.isnan(max_path)
 
 
 def test_channels_normal_at_moderate_scale():

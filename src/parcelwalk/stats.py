@@ -91,9 +91,21 @@ class KsResult:
         return self.statistic <= self.threshold_at(alpha)
 
 
-def ks_one_sample(samples, reference_cdf) -> KsResult:
-    """Sup gap between the empirical CDF of ``samples`` and ``reference_cdf``."""
+def _sorted_finite(samples) -> np.ndarray:
+    # Non-finite samples would otherwise slip through: two all-NaN samples
+    # give a two-sample statistic of 0.0, and an inf passes either test.
     x = np.sort(np.asarray(samples, dtype=float))
+    if not np.isfinite(x).all():
+        raise ValueError("KS samples must be finite")
+    return x
+
+
+def ks_one_sample(samples, reference_cdf) -> KsResult:
+    """Sup gap between the empirical CDF of ``samples`` and ``reference_cdf``.
+
+    Raises ``ValueError`` on a NaN or infinite sample.
+    """
+    x = _sorted_finite(samples)
     n = x.size
     if n < 20:
         raise ValueError(f"one-sample KS needs >= 20 samples, got {n}")
@@ -105,9 +117,12 @@ def ks_one_sample(samples, reference_cdf) -> KsResult:
 
 
 def ks_two_sample(a, b) -> KsResult:
-    """Sup gap between the empirical CDFs of two samples."""
-    xa = np.sort(np.asarray(a, dtype=float))
-    xb = np.sort(np.asarray(b, dtype=float))
+    """Sup gap between the empirical CDFs of two samples.
+
+    Raises ``ValueError`` on a NaN or infinite sample.
+    """
+    xa = _sorted_finite(a)
+    xb = _sorted_finite(b)
     n, m = xa.size, xb.size
     if n < 20 or m < 20:
         raise ValueError(f"two-sample KS needs >= 20 samples per side, got {n} and {m}")

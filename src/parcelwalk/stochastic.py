@@ -18,6 +18,14 @@ block's square-identity maxima.  The trials x steps ensemble is never held,
 and the results are bit-identical to building it with
 ``brownian_increments`` and reducing it with ``sqrt_endpoint_statistics``
 and ``square_identity_residuals``, which run the same kernel over slices.
+
+The kernel works in real arithmetic: each root increment lies on one axis,
+so its square is the real square of its parcel value times the square of
+|dW|**(1/2).  It writes
+into work buffers allocated once per pass, sized to the first (largest)
+block, so a block costs no fresh allocations.  Only the path sum of the
+squares runs through a complex buffer, to keep the summation order, and so
+the bits, of squaring through the complex parcel values.
 """
 from __future__ import annotations
 
@@ -126,7 +134,11 @@ def _row_source(seed: int, steps: int, horizon_T: float):
         for i, row in enumerate(rows):
             counter[:] = (0, 0, 0, first_trial + i)
             bit_generator.state = state
-            row[:] = generator.normal(0.0, scale, steps)
+            generator.standard_normal(out=row)
+        # normal(0.0, scale) computes 0.0 + scale * z: the += 0.0 keeps its
+        # bits by turning -0.0 into +0.0.
+        rows *= scale
+        rows += 0.0
 
     return fill
 
@@ -184,37 +196,83 @@ def wick_rotate_samples(z) -> np.ndarray:
     return np.asarray(z, dtype=np.complex128) * WICK_FACTOR
 
 
-def _reduce_block(block: np.ndarray, parcel=_PARCEL):
+def _work_buffers(rows: int, steps: int):
+    """Work buffers of ``_reduce_block``: root, plus, minus, sign mask, complex squares."""
+    return (np.empty((rows, steps)), np.empty((rows, steps)), np.empty((rows, steps)),
+            np.empty((rows, steps), dtype=bool), np.zeros((rows, steps), dtype=np.complex128))
+
+
+def _real_squares(parcel) -> tuple[float, float]:
+    squares = [complex(value) ** 2 for value in parcel]
+    if any(square.imag != 0.0 for square in squares):
+        raise ValueError(f"parcel values must square to real numbers, got {tuple(parcel)}")
+    return squares[0].real, squares[1].real
+
+
+def _reduce_block(block: np.ndarray, parcel=_PARCEL, work=None):
     """Per-row ``W_T`` and square-root endpoint, plus the block's square-identity maxima.
 
     Increments >= 0 (-0.0 included, as in ``signs_to_bernoulli``) take parcel
     1 and accumulate on the real axis; negative ones take parcel i and
     accumulate on the imaginary axis.  ``parcel`` holds the values of the
-    signs +1 and -1 that each root increment is squared through.
+    signs +1 and -1 that each root increment is squared through; their
+    squares must be real.
+
+    The arithmetic is real: a root increment is nonzero on one axis only, so
+    its square is ``sq+ * plus**2 + sq- * minus**2`` with ``sq+, sq-`` the
+    squares of the two parcel values, bit for bit the real part of the
+    complex square, whose imaginary part is 0.  The path sum still adds
+    these squares as complex numbers with zero imaginary parts: numpy's
+    pairwise summation groups complex elements differently from real ones,
+    and a real sum moves the last bits of the path residual.  A NaN
+    increment has no sign and lands on both axes, as in ``sqrt_path``.
+
+    Every step writes into ``work`` (``_work_buffers`` with at least
+    ``len(block)`` rows; allocated here when not given), so a call makes no
+    block-sized temporaries.
     """
-    root = np.sqrt(np.abs(block))
-    plus = np.where(block >= 0, root, 0.0)
-    minus = np.where(block < 0, root, 0.0)
+    sq_plus, sq_minus = _real_squares(parcel)
+    rows = len(block)
+    root, plus, minus, mask, squared = (buffer[:rows] for buffer in
+                                        work or _work_buffers(*block.shape))
+    np.abs(block, out=root)
+    np.sqrt(root, out=root)
+    # root * mask is root or +0.0, and root - plus the other half of root.
+    np.greater_equal(block, 0.0, out=mask)
+    np.multiply(root, mask, out=plus)
+    np.subtract(root, plus, out=minus)
     w_T = block.sum(axis=1)
     endpoints = plus.sum(axis=1) + 1j * minus.sum(axis=1)
-    squared = (parcel[0] * plus + parcel[1] * minus) ** 2
-    step = (np.abs(squared - block) / np.maximum(1.0, np.abs(block))).max()
-    path = np.abs(squared.sum(axis=1) - w_T).max()
-    return w_T, endpoints, step, path
+    for channel, square in ((plus, sq_plus), (minus, sq_minus)):
+        np.multiply(channel, channel, out=channel)
+        channel *= square
+    real = squared.real  # the imaginary slots are never written and stay 0
+    np.add(plus, minus, out=real)
+    path = np.abs(squared.sum(axis=1).real - w_T).max()
+    np.subtract(real, block, out=plus)
+    np.abs(plus, out=plus)
+    np.abs(block, out=minus)
+    np.maximum(minus, 1.0, out=minus)
+    plus /= minus
+    return w_T, endpoints, plus.max(), path
 
 
 def _reduce_blocks(blocks, trials: int):
     """Run the block kernel over ``(first_row, block)`` pairs covering ``trials`` rows.
 
-    The maxima accumulate with ``np.maximum`` so that a NaN residual in any
-    block reaches the result instead of losing to 0.0.
+    The kernel's work buffers are sized to the first block, which is the
+    largest, and every block uses their leading rows.  The maxima accumulate
+    with ``np.maximum`` so that a NaN residual in any block reaches the
+    result instead of losing to 0.0.
     """
     w_T = np.empty(trials)
     endpoints = np.empty(trials, dtype=np.complex128)
     max_step = max_path = 0.0
+    work = None
     for lo, block in blocks:
         hi = lo + len(block)
-        w_T[lo:hi], endpoints[lo:hi], step, path = _reduce_block(block)
+        work = work or _work_buffers(*block.shape)
+        w_T[lo:hi], endpoints[lo:hi], step, path = _reduce_block(block, work=work)
         max_step = np.maximum(max_step, step)
         max_path = np.maximum(max_path, path)
     return w_T, endpoints, float(max_step), float(max_path)

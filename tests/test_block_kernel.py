@@ -4,6 +4,7 @@ The block kernel is checked row by row against ``sqrt_path``, the reused
 block source against a fresh Philox generator per trial, and the streaming
 result against the materialised ensemble path.
 """
+import cmath
 import math
 
 import numpy as np
@@ -25,10 +26,12 @@ from parcelwalk.stochastic import (
 
 SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300,
                   1e300, -1e300, 1.7e308, -1.7e308]
+increment_values = (st.floats(allow_nan=False, allow_infinity=False)
+                    | st.sampled_from(SPECIAL_VALUES))
 increment_blocks = arrays(
     np.float64,
     array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
-    elements=st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(SPECIAL_VALUES),
+    elements=increment_values,
 )
 
 
@@ -95,6 +98,49 @@ def test_wrong_parcel_map_fails_square_identity():
     assert step <= 1e-15 and path <= 1e-13
     _, _, step, path = stochastic._reduce_block(block, parcel=(1.0, -1.0))
     assert step > 1e-3 and path > 1e-3
+
+
+# Work buffers are sized to the first block and reused by every later, smaller
+# one: a leftover row from an earlier block must never reach a result.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_reused_work_buffers_match_a_fresh_kernel_per_block(data):
+    steps = data.draw(st.integers(1, 12))
+    row_counts = sorted(data.draw(st.lists(st.integers(1, 9), min_size=1, max_size=4)),
+                        reverse=True)
+    blocks = [data.draw(arrays(np.float64, (rows, steps), elements=increment_values))
+              for rows in row_counts]
+    fresh = [stochastic._reduce_block(block) for block in blocks]
+    work = stochastic._work_buffers(*blocks[0].shape)
+    for block, expected in zip(blocks, fresh):
+        reused = stochastic._reduce_block(block, work=work)
+        assert all(same(a, b) for a, b in zip(reused, expected))
+    firsts = np.cumsum([0] + row_counts[:-1])
+    w_T, endpoints, step, path = stochastic._reduce_blocks(zip(firsts, blocks), sum(row_counts))
+    assert same(w_T, np.concatenate([f[0] for f in fresh]))
+    assert same(endpoints, np.concatenate([f[1] for f in fresh]))
+    assert same(step, np.max([f[2] for f in fresh]))
+    assert same(path, np.max([f[3] for f in fresh]))
+
+
+def test_parcel_with_non_real_square_is_rejected():
+    block = increment_block(3, 0, 4, 8, 1.0)
+    with pytest.raises(ValueError):
+        stochastic._reduce_block(block, parcel=(1.0, cmath.exp(1j * math.pi / 4)))
+
+
+# A NaN increment has no sign; like sqrt_path, the kernel carries it into
+# both endpoint axes instead of leaving it out of the sums.
+def test_nan_increment_reaches_both_endpoint_axes():
+    block = increment_block(3, 0, 3, 8, 1.0)
+    block[1, 2] = np.nan
+    _, endpoints, step, path = stochastic._reduce_block(block)
+    reference = sqrt_path(block[1]).partial_sums[-1]
+    assert math.isnan(reference.real) and math.isnan(reference.imag)
+    assert math.isnan(endpoints[1].real) and math.isnan(endpoints[1].imag)
+    assert np.isfinite(endpoints[[0, 2]]).all()
+    assert math.isnan(step) and math.isnan(path)
 
 
 def test_streaming_guards():

@@ -177,3 +177,18 @@ def test_stats_report_passes_on_normal_data():
     x = np.random.default_rng(9).standard_normal(20_000)
     report = stats_report(x, std_normal_cdf, alpha=0.01)
     assert report.verdict == "pass"
+
+
+@pytest.mark.parametrize("bad", ["all_nan", "one_nan", "inf"])
+def test_ks_tests_reject_non_finite_samples(bad):
+    x = np.random.default_rng(5).standard_normal(100)
+    if bad == "all_nan":
+        x[:] = np.nan
+    else:
+        x[17] = np.nan if bad == "one_nan" else np.inf
+    with pytest.raises(ValueError):
+        ks_one_sample(x, std_normal_cdf)
+    with pytest.raises(ValueError):
+        ks_two_sample(x, x.copy())
+    with pytest.raises(ValueError):
+        ks_two_sample(np.zeros(100), x)

@@ -7,8 +7,14 @@ comparison), ``triangle`` (row dumps and Gaussian-convergence tables),
 
 Every run writes a ``manifest.json`` with the resolved configuration and a
 sha256 per artifact; re-running with the same configuration reproduces the
-artifacts byte for byte.  Exit codes: 0 success, 1 usage, 2 statistical
-failure, 3 I/O failure.
+artifacts byte for byte.  JSON artifacts are strict: a non-finite value is
+an error, and the file that would hold it is not written.  Exit codes:
+0 success, 1 usage (or a non-finite result), 2 statistical failure, 3 I/O
+failure.
+
+Only the numpy-free modules are imported here; ``fig3`` and ``geometry``
+import numpy and their modules when they run, so ``triangle`` and
+``kernels`` never load numpy.
 """
 from __future__ import annotations
 
@@ -19,10 +25,14 @@ import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
+from . import kernels, triangle
 
-from . import geometry, kernels, stats, stochastic, triangle
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -138,7 +148,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise ValueError(f"{path.name} not written: {exc}") from None
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -224,6 +238,10 @@ def _hist_polyline(hist: stats.Histogram) -> tuple[np.ndarray, np.ndarray]:
 
 def cmd_fig3(config: RunConfig) -> int:
     """Brownian endpoints vs Wick-rotated square-root channels, with KS verdicts."""
+    import numpy as np
+
+    from . import stats, stochastic
+
     if config.trials < 100:
         raise UsageError(
             f"trials={config.trials} is below the minimum of 100 for endpoint statistics"
@@ -310,7 +328,12 @@ def cmd_fig3(config: RunConfig) -> int:
 
 
 def cmd_triangle(n_max: int, kind: str, out: str) -> int:
-    """Row dumps plus the amplitude-vs-binomial residual and convergence tables."""
+    """Row dumps plus the amplitude-vs-binomial residual and convergence tables.
+
+    One pass builds each row once: the classical row by Pascal addition, the
+    quantum row from its counts, and the pmf ``C(n, k) / 2**n`` from the same
+    counts; the residuals and sup errors reuse these lists.
+    """
     if not 1 <= n_max <= triangle.MAX_ROW:
         raise UsageError(f"n_max must be in [1, {triangle.MAX_ROW}], got {n_max}")
     out_dir = Path(out)
@@ -318,36 +341,38 @@ def cmd_triangle(n_max: int, kind: str, out: str) -> int:
     rows_dir.mkdir(parents=True, exist_ok=True)
     artifacts = []
 
-    kinds = ["classical", "quantum"] if kind == "both" else [kind]
-    for which in kinds:
-        if which == "classical":
-            rows = [triangle.classical_row(n) for n in range(n_max + 1)]
-        else:
-            rows = [triangle.qtpt_row(n) for n in range(1, n_max + 1)]
-        for row in rows:
-            path = rows_dir / f"{which}_n{row.n:04d}.csv"
-            path.write_text(triangle.row_csv(row), encoding="utf-8")
-            artifacts.append(path)
+    def dump(row: triangle.TriangleRow) -> None:
+        path = rows_dir / f"{row.kind}_n{row.n:04d}.csv"
+        path.write_text(triangle.row_csv(row), encoding="utf-8")
+        artifacts.append(path)
 
+    kinds = ["classical", "quantum"] if kind == "both" else [kind]
+    classical = triangle.classical_row(0)
+    if "classical" in kinds:
+        dump(classical)
     max_residual = 0.0
-    if kind in ("quantum", "both"):
-        residual_rows = []
-        for n in range(1, n_max + 1):
-            row = triangle.qtpt_row(n)
-            residual = max(abs(abs(a) ** 2 - triangle.binomial_pmf(n, k))
-                           for k, a in enumerate(row.values))
-            residual_rows.append((n, float(residual)))
+    residual_rows = []
+    sup_rows = []
+    for n in range(1, n_max + 1):
+        classical = triangle.next_classical_row(classical)
+        scale = 1 << n
+        probs = {"classical": [c / scale for c in classical.values]}
+        if "classical" in kinds:
+            dump(classical)
+        if "quantum" in kinds:
+            quantum = triangle.qtpt_row(n, classical.values)
+            dump(quantum)
+            probs["quantum"] = [abs(a) ** 2 for a in quantum.values]
+            residual = max(abs(m - p) for m, p in zip(probs["quantum"], probs["classical"]))
+            residual_rows.append((n, residual))
             max_residual = max(max_residual, residual)
+        sup_rows.append((n, *(triangle.sup_error(probs[which]) for which in kinds)))
+
+    if "quantum" in kinds:
         residual_path = out_dir / "modulus_residuals.csv"
         _write_csv(residual_path, ["n", "max_abs_residual"], residual_rows)
         artifacts.append(residual_path)
 
-    sup_rows = []
-    for n in range(1, n_max + 1):
-        entry = [n]
-        for which in kinds:
-            entry.append(float(triangle.row_sup_error(n, which)))
-        sup_rows.append(tuple(entry))
     sup_path = out_dir / "sup_error.csv"
     _write_csv(sup_path, ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
     artifacts.append(sup_path)
@@ -369,6 +394,12 @@ def cmd_geometry(report: str, out: str, circle_n: int = 64, oscillator_n_max: in
                  hbar: float = 1.0, omega: float = 1.0, sphere_samples: int = 1000,
                  seed: int = 42) -> int:
     """JSON quantization reports for the circle, oscillator, and sphere checks."""
+    import numpy as np
+
+    from . import geometry
+
+    if report in ("sphere", "all") and sphere_samples < 1:
+        raise UsageError(f"sphere_samples must be >= 1, got {sphere_samples}")
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     sections = {}
@@ -416,16 +447,15 @@ def cmd_geometry(report: str, out: str, circle_n: int = 64, oscillator_n_max: in
     if report in ("sphere", "all"):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
         u = rng.uniform(-1.0, 1.0, size=(sphere_samples, 3))
-        worst_offdiag = 0.0
-        worst_scalar_gap = 0.0
-        n_plus = 0
-        for row in u:
-            scalar, offdiag = geometry.sphere_map_square(tuple(row))
-            expected = row[2] ** 2 - row[0] ** 2 - row[1] ** 2
-            worst_offdiag = max(worst_offdiag, offdiag)
-            worst_scalar_gap = max(worst_scalar_gap, abs(scalar - expected))
-            if expected > 0:
-                n_plus += 1
+        scalar, offdiag = geometry.sphere_map_square(u)
+        # Squares through libm pow, as ``x ** 2`` on a Python or numpy scalar
+        # does; numpy's array power rounds about 0.1% of them differently.
+        squares = np.array([x ** 2 for x in u.ravel().tolist()]).reshape(u.shape)
+        expected = squares[:, 2] - squares[:, 0] - squares[:, 1]
+        gap = scalar - expected
+        worst_offdiag = float(offdiag.max())
+        worst_scalar_gap = float(np.hypot(gap.real, gap.imag).max())
+        n_plus = int(np.count_nonzero(expected > 0))
         passed = worst_offdiag <= 1e-12 and worst_scalar_gap <= 1e-12
         sections["sphere"] = {
             "samples": sphere_samples,
@@ -448,15 +478,31 @@ def cmd_geometry(report: str, out: str, circle_n: int = 64, oscillator_n_max: in
     return EXIT_OK if all_passed else EXIT_STAT
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``np.linspace(start, stop, num)`` as Python floats, bit for bit, for ``num >= 2``."""
+    if num < 2:
+        raise ValueError(f"a grid needs at least 2 points, got {num}")
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        # numpy's branch for a step that underflows (a subnormal or zero span)
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
+
+
 def cmd_kernels(out: str, diffusion: float = 0.5, hbar: float = 1.0, mass: float = 1.0,
                 n_x: int = 40, n_t: int = 25) -> int:
     """Kernel grid dumps plus the imaginary-time identity residual."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = kernels.KernelSpec(diffusion_D=diffusion, hbar=hbar, mass_m=mass)
-    xs = np.linspace(-4.0, 4.0, n_x)
-    ts = np.linspace(0.1, 2.5, n_t)
-    grid = [(float(x), float(t)) for t in ts for x in xs]
+    xs = _linspace(-4.0, 4.0, n_x)
+    ts = _linspace(0.1, 2.5, n_t)
+    grid = [(x, t) for t in ts for x in xs]
 
     heat_path = out_dir / "heat_kernel_grid.csv"
     _write_csv(heat_path, ["x", "t", "re", "im"],

@@ -77,11 +77,27 @@ def pauli_coefficients(a: CliffordElement) -> tuple[complex, complex, complex, c
     return tuple(complex(np.trace(g @ a)) / 2.0 for g in (identity, s1, s2, s3))
 
 
-def scalar_decompose(a: CliffordElement) -> tuple[complex, float]:
-    """Split ``a`` into ``c*I + R`` and return ``(c, ||R||_F)``."""
-    c = complex(a[0, 0] + a[1, 1]) / 2.0
-    resid = a - c * np.eye(2, dtype=np.complex128)
-    return c, float(np.linalg.norm(resid))
+def scalar_decompose(a):
+    """Split ``a`` into ``c*I + R`` and return ``(c, ||R||_F)``.
+
+    ``a`` is one 2x2 matrix, giving a complex and a float, or a stack of
+    shape ``(N, 2, 2)``, giving two arrays of length N.  Each norm is the
+    one ``np.linalg.norm`` returns for that matrix's residual, bit for bit:
+    the squares of the real parts, then of the imaginary parts, are summed
+    by the same strided BLAS dot product that ``np.linalg.norm`` calls, one
+    call per matrix through ``matmul``, and the two sums are added.
+    """
+    a = np.asarray(a)
+    if a.ndim not in (2, 3) or a.shape[-2:] != (2, 2):
+        raise ValueError(f"expected a 2x2 matrix or a stack of them, got shape {a.shape}")
+    c = np.asarray((a[..., 0, 0] + a[..., 1, 1]) / 2.0)
+    resid = a - c[..., None, None] * np.eye(2, dtype=np.complex128)
+    flat = resid.reshape(*resid.shape[:-2], 1, 4)
+    re, im = flat.real, flat.imag
+    norm = np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+    if a.ndim == 2:
+        return complex(c), float(norm)
+    return c, norm
 
 
 def dirac_symbol_square(s: float, u: float, v: float) -> tuple[complex, float]:

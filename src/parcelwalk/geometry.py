@@ -3,6 +3,9 @@
 Four independent checks of the same theme (geometry forced onto an integer
 ladder): the circle's spectral commutation relation, the 2*pi*N length rule,
 harmonic-oscillator phase-space areas, and the sphere's two-valued square.
+The sphere map and its square take one point or a whole ``(N, 3)`` sample
+at once; the stacked square runs one 2x2 product per point through the
+same ``matmul`` kernel, so each result keeps the single-point bits.
 """
 from __future__ import annotations
 
@@ -110,19 +113,27 @@ def oscillator_volumes(spec: OscillatorSpec) -> OscillatorVolumes:
                              semi_axes=(a, b))
 
 
-def sphere_map(u: tuple[float, float, float]) -> CliffordElement:
-    """Map coordinates (u1, u2, u3) to -i*g1*u1 - i*g2*u2 + g3*u3."""
-    u1, u2, u3 = u
+def sphere_map(u) -> CliffordElement:
+    """Map coordinates (u1, u2, u3) to -i*g1*u1 - i*g2*u2 + g3*u3.
+
+    ``u`` is one point, giving a 2x2 matrix, or a stack of points of shape
+    ``(N, 3)``, giving an ``(N, 2, 2)`` stack of matrices.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    if u.ndim not in (1, 2) or u.shape[-1] != 3:
+        raise ValueError(f"expected a point (u1, u2, u3) or a stack of them, got shape {u.shape}")
+    u1, u2, u3 = (u[..., i, None, None] for i in range(3))
     _, g1, g2, g3 = gamma_basis()
     return -1j * u1 * g1 - 1j * u2 * g2 + u3 * g3
 
 
-def sphere_map_square(u: tuple[float, float, float]) -> tuple[complex, float]:
+def sphere_map_square(u):
     """Square of the sphere map: always scalar, equal to (u3**2 - u1**2 - u2**2) * I.
 
     The sign of the scalar classifies the point into the two volume types
     (+1-like vs -1-like); cross terms cancel by anticommutation, measured by
-    the returned off-diagonal residual.
+    the returned off-diagonal residual.  A stack of points gives arrays of
+    scalars and residuals, each bit-identical to the single-point result.
     """
     y = sphere_map(u)
     return scalar_decompose(y @ y)

@@ -4,11 +4,19 @@ Classical rows are exact big-integer binomials.  The complex rows carry
 amplitudes whose squared moduli reproduce the binomial probabilities, so
 every distributional statement about the classical triangle transfers
 verbatim to the amplitude triangle.
+
+A pass over rows 0..N builds each row once: :func:`next_classical_row`
+adds the previous row to itself shifted (Pascal's rule, no ``math.comb``),
+and :func:`qtpt_row` takes that row's counts, so the pmf is
+``C(n, k) / 2**n`` from the counts already held.  Every value is
+bit-identical to the per-entry functions :func:`binomial_pmf` and
+:func:`qtpt_amplitude`.  The module is pure Python and never imports numpy.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 
 MAX_ROW = 1000
@@ -34,6 +42,19 @@ def classical_row(n: int) -> TriangleRow:
     return TriangleRow(n, [math.comb(n, k) for k in range(n + 1)], "classical")
 
 
+def next_classical_row(row: TriangleRow) -> TriangleRow:
+    """Classical row n+1 from row n by big-integer Pascal addition.
+
+    Equal to ``classical_row(row.n + 1)``, at one addition per entry instead
+    of one ``math.comb`` call.
+    """
+    if row.kind != "classical":
+        raise ValueError(f"Pascal addition needs a classical row, got {row.kind!r}")
+    _check_row_index(row.n + 1)
+    values = row.values
+    return TriangleRow(row.n + 1, [1, *map(operator.add, values, values[1:]), 1], "classical")
+
+
 def binomial_pmf(n: int, k: int) -> float:
     """C(n, k) / 2**n via exact big-integer division, rounded once to float."""
     return math.comb(n, k) / (1 << n)
@@ -48,6 +69,10 @@ def _amplitude_phase(n: int, k: int) -> float:
     return ((k - n / 2.0) / n) * r * math.atan(r)
 
 
+def _amplitude(n: int, k: int, pmf: float) -> complex:
+    return math.sqrt(pmf) * cmath.exp(1j * _amplitude_phase(n, k))
+
+
 def qtpt_amplitude(n: int, k: int) -> complex:
     """Amplitude sqrt(C(n,k)) * 2**(-n/2) * exp(i * phase(n, k)).
 
@@ -60,14 +85,24 @@ def qtpt_amplitude(n: int, k: int) -> complex:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     if n == 0:
         return complex(1.0)
-    modulus = math.sqrt(binomial_pmf(n, k))
-    return modulus * cmath.exp(1j * _amplitude_phase(n, k))
+    return _amplitude(n, k, binomial_pmf(n, k))
 
 
-def qtpt_row(n: int) -> TriangleRow:
-    """All n+1 amplitudes of row n; squared moduli sum to 1."""
+def qtpt_row(n: int, counts: list[int] | None = None) -> TriangleRow:
+    """All n+1 amplitudes of row n; squared moduli sum to 1.
+
+    ``counts`` are C(n, 0..n), the values of classical row n, when the caller
+    already holds them; otherwise they are computed.  Each amplitude equals
+    ``qtpt_amplitude(n, k)`` bit for bit.
+    """
     _check_row_index(n, minimum=1)
-    return TriangleRow(n, [qtpt_amplitude(n, k) for k in range(n + 1)], "quantum")
+    if counts is None:
+        counts = classical_row(n).values
+    elif len(counts) != n + 1:
+        raise ValueError(f"row {n} needs {n + 1} counts, got {len(counts)}")
+    scale = 1 << n
+    return TriangleRow(n, [_amplitude(n, k, c / scale) for k, c in enumerate(counts)],
+                       "quantum")
 
 
 def gaussian_approx_row(n: int) -> list[float]:
@@ -79,8 +114,14 @@ def gaussian_approx_row(n: int) -> list[float]:
     return [norm * math.exp(-((k - n / 2.0) ** 2) / (2.0 * var)) for k in range(n + 1)]
 
 
+def sup_error(probs: list[float]) -> float:
+    """Sup over k of |probs[k] - gaussian[k]| for a row profile p(0..n), n >= 1."""
+    gauss = gaussian_approx_row(len(probs) - 1)
+    return max(abs(p - g) for p, g in zip(probs, gauss))
+
+
 def row_sup_error(n: int, kind: str) -> float:
-    """Sup over k of |p(k) - gaussian[k]| for the normalized row profile.
+    """:func:`sup_error` of row n's normalized profile.
 
     ``kind='classical'`` uses the exact binomial pmf, ``kind='quantum'`` the
     squared amplitude moduli; the two agree to roundoff.
@@ -92,8 +133,7 @@ def row_sup_error(n: int, kind: str) -> float:
         probs = [abs(a) ** 2 for a in qtpt_row(n).values]
     else:
         raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-    gauss = gaussian_approx_row(n)
-    return max(abs(p - g) for p, g in zip(probs, gauss))
+    return sup_error(probs)
 
 
 def row_csv(row: TriangleRow) -> str:

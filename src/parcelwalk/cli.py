@@ -9,8 +9,9 @@ Every run writes a ``manifest.json`` with the resolved configuration and a
 sha256 per artifact; re-running with the same configuration reproduces the
 artifacts byte for byte.  JSON artifacts are strict: a non-finite value is
 an error, and the file that would hold it is not written.  Exit codes:
-0 success, 1 usage (or a non-finite result), 2 statistical failure, 3 I/O
-failure.
+0 success, 1 usage (a non-finite result, or a size too large for memory,
+included), 2 statistical failure, 3 I/O failure (a failed ``fig3`` worker
+process included).
 
 Only the numpy-free modules are imported here; ``fig3`` and ``geometry``
 import numpy and their modules when they run, so ``triangle`` and
@@ -141,10 +142,11 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(repr(v) if isinstance(v, float) else str(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``rows`` as they are generated; floats as ``repr``, everything else as ``str``."""
+    with path.open("w", encoding="utf-8") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+                          for row in rows)
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -174,11 +176,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[P
 
 
 def _histogram_csv(path: Path, hist: stats.Histogram) -> None:
-    dens = hist.densities()
-    rows = [
-        (float(hist.edges[i]), float(hist.edges[i + 1]), int(hist.counts[i]), float(dens[i]))
-        for i in range(len(hist.counts))
-    ]
+    edges = hist.edges.tolist()
+    rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist())
     _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], rows)
 
 
@@ -287,8 +286,8 @@ def cmd_fig3(config: RunConfig) -> int:
     artifacts = []
     endpoints_csv = out_dir / "endpoints.csv"
     _write_csv(endpoints_csv, ["trial", "brownian_scaled", "real_channel", "imag_channel"],
-               ((i, float(brownian_scaled[i]), float(real_ch[i]), float(imag_ch[i]))
-                for i in range(config.trials)))
+               zip(range(config.trials), brownian_scaled.tolist(), real_ch.tolist(),
+                   imag_ch.tolist()))
     artifacts.append(endpoints_csv)
 
     hists = {}
@@ -605,6 +604,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # numpy's message names the size and shape of the array that did not fit
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)

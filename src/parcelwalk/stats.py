@@ -67,7 +67,7 @@ def gaussian_fit(samples) -> tuple[float, float]:
 def std_normal_cdf(x) -> np.ndarray:
     """CDF of N(0, 1), elementwise."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr])
+    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr.tolist()])
     return out if np.ndim(x) else out[0]
 
 

@@ -19,6 +19,14 @@ and the results are bit-identical to building it with
 ``brownian_increments`` and reducing it with ``sqrt_endpoint_statistics``
 and ``square_identity_residuals``, which run the same kernel over slices.
 
+The pass runs on every CPU the process may use: the trials split into one
+contiguous range per CPU, the calling process reduces the first range and a
+forked worker each of the others, writing its rows and maxima into one
+anonymous shared mapping.  A row's results do not depend on where the blocks
+split, so the results are the same bit for bit for any number of ranges, and
+that number is recorded nowhere.  Whole-ensemble generation
+(``brownian_increments``) and its reductions stay serial.
+
 The kernel works in real arithmetic: each root increment lies on one axis,
 so its square is the real square of its parcel value times the square of
 |dW|**(1/2).  It writes
@@ -30,7 +38,10 @@ the bits, of squaring through the complex parcel values.
 from __future__ import annotations
 
 import cmath
+import errno
 import math
+import mmap
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,16 +268,16 @@ def _reduce_block(block: np.ndarray, parcel=_PARCEL, work=None):
     return w_T, endpoints, plus.max(), path
 
 
-def _reduce_blocks(blocks, trials: int):
-    """Run the block kernel over ``(first_row, block)`` pairs covering ``trials`` rows.
+def _reduce_blocks(blocks, w_T: np.ndarray, endpoints: np.ndarray) -> tuple[float, float]:
+    """Run the block kernel over ``(first_row, block)`` pairs; return the residual maxima.
 
-    The kernel's work buffers are sized to the first block, which is the
-    largest, and every block uses their leading rows.  The maxima accumulate
-    with ``np.maximum`` so that a NaN residual in any block reaches the
-    result instead of losing to 0.0.
+    Row ``first_row + i`` of each block writes its ``W_T`` and square-root
+    endpoint into that index of ``w_T`` and ``endpoints``.  The kernel's work
+    buffers are sized to the first block, which is the largest, and every
+    block uses their leading rows.  The maxima accumulate with ``np.maximum``
+    so that a NaN residual in any block reaches the result instead of losing
+    to 0.0.
     """
-    w_T = np.empty(trials)
-    endpoints = np.empty(trials, dtype=np.complex128)
     max_step = max_path = 0.0
     work = None
     for lo, block in blocks:
@@ -275,23 +286,95 @@ def _reduce_blocks(blocks, trials: int):
         w_T[lo:hi], endpoints[lo:hi], step, path = _reduce_block(block, work=work)
         max_step = np.maximum(max_step, step)
         max_path = np.maximum(max_path, path)
-    return w_T, endpoints, float(max_step), float(max_path)
+    return float(max_step), float(max_path)
 
 
-def _ensemble_blocks(ensemble: PathEnsemble, chunk: int | None):
+def _reduce_ensemble(ensemble: PathEnsemble, chunk: int | None):
+    """``(endpoints, max_step, max_path)`` of a materialised ensemble, ``chunk`` rows at a time."""
     rows = chunk or _block_rows(ensemble.steps)
-    return ((lo, ensemble.increments[lo:lo + rows]) for lo in range(0, ensemble.trials, rows))
+    blocks = ((lo, ensemble.increments[lo:lo + rows]) for lo in range(0, ensemble.trials, rows))
+    endpoints = np.empty(ensemble.trials, dtype=np.complex128)
+    max_step, max_path = _reduce_blocks(blocks, np.empty(ensemble.trials), endpoints)
+    return endpoints, max_step, max_path
 
 
-def _streamed_blocks(seed: int, trials: int, steps: int, horizon_T: float):
-    # One buffer serves every block: each is reduced before the next is drawn.
+def _streamed_blocks(seed: int, steps: int, horizon_T: float, first: int, stop: int):
+    """Generate trials [first, stop) as ``(trial, block)`` pairs, block by block.
+
+    One buffer serves every block: each is reduced before the next is drawn.
+    """
     fill = _row_source(seed, steps, horizon_T)
     rows = _block_rows(steps)
-    buffer = np.empty((min(rows, trials), steps))
-    for lo in range(0, trials, rows):
-        block = buffer[:min(rows, trials - lo)]
+    buffer = np.empty((min(rows, stop - first), steps))
+    for lo in range(first, stop, rows):
+        block = buffer[:min(rows, stop - lo)]
         fill(block, lo)
         yield lo, block
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _stream_in_ranges(seed: int, trials: int, steps: int, horizon_T: float):
+    """``(w_T, endpoints, max_step, max_path)`` of the streamed ensemble, one range per CPU.
+
+    Trials split into contiguous ranges.  The parent reduces the first and
+    one forked worker each other range, writing its rows and its two maxima
+    straight into one anonymous shared mapping allocated before the fork.
+    A worker never returns into the caller: it leaves through ``os._exit``,
+    with status 0 only when its range was reduced.  A worker that fails or
+    is killed makes the parent raise ``ChildProcessError``; every worker is
+    reaped however the parent's own range ends.
+
+    Forking is safe here although numpy may have started BLAS threads: a
+    worker runs only ufuncs, reductions and a Philox generator it creates
+    itself, none of which needs a lock that another thread could hold.
+    """
+    ranges = min(trials, _cpu_count())
+    bounds = [trials * r // ranges for r in range(ranges + 1)]
+    try:
+        mapping = mmap.mmap(-1, 8 * (3 * trials + 2 * ranges))
+    except OSError as exc:
+        if exc.errno == errno.ENOMEM:
+            raise MemoryError(f"cannot map the results of {trials} trials: {exc}") from None
+        raise
+    shared = np.frombuffer(mapping, dtype=np.float64)
+    endpoints = shared[:2 * trials].view(np.complex128)
+    w_T = shared[2 * trials:3 * trials]
+    maxima = shared[3 * trials:].reshape(ranges, 2)
+
+    def reduce_range(r: int) -> None:
+        blocks = _streamed_blocks(seed, steps, horizon_T, bounds[r], bounds[r + 1])
+        maxima[r] = _reduce_blocks(blocks, w_T, endpoints)
+
+    workers = []
+    try:
+        for r in range(1, ranges):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    reduce_range(r)
+                    status = 0
+                finally:
+                    os._exit(status)
+            workers.append(pid)
+        reduce_range(0)
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in workers]
+    failed = [os.waitstatus_to_exitcode(status) for status in statuses if status != 0]
+    if failed:
+        raise ChildProcessError(f"{len(failed)} fig3 worker(s) failed, exit codes {failed} "
+                                "(negative: killed by that signal)")
+    max_step, max_path = np.maximum.reduce(maxima)
+    return w_T, endpoints, float(max_step), float(max_path)
 
 
 def _standard_channels(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -317,7 +400,7 @@ def sqrt_endpoint_statistics(ensemble: PathEnsemble,
     positive drift from E|dW|**(1/2) that the rotation does not remove).
     ``chunk`` rows are reduced at a time; the result does not depend on it.
     """
-    _, endpoints, _, _ = _reduce_blocks(_ensemble_blocks(ensemble, chunk), ensemble.trials)
+    endpoints, _, _ = _reduce_ensemble(ensemble, chunk)
     return _standard_channels(endpoints)
 
 
@@ -329,8 +412,7 @@ def square_identity_residuals(ensemble: PathEnsemble,
     |(dY)**2 - dW| / max(1, |dW|) and the max per-path value of
     |sum (dY)**2 - W_T|.  A NaN anywhere in the ensemble makes both NaN.
     """
-    _, _, max_step, max_path = _reduce_blocks(_ensemble_blocks(ensemble, chunk),
-                                              ensemble.trials)
+    _, max_step, max_path = _reduce_ensemble(ensemble, chunk)
     return max_step, max_path
 
 
@@ -340,11 +422,12 @@ def stream_endpoint_statistics(seed: int, trials: int, steps: int,
 
     Bit-identical to ``brownian_increments`` followed by
     ``sqrt_endpoint_statistics`` and ``square_identity_residuals``, while only
-    one block of increments is held at a time.
+    one block of increments per process is held at a time.  The trials are
+    reduced in one forked worker per extra CPU (see ``_stream_in_ranges``);
+    a failed worker raises ``ChildProcessError``.
     """
     _check_ensemble_args(seed, trials, steps, horizon_T)
-    w_T, endpoints, max_step, max_path = _reduce_blocks(
-        _streamed_blocks(seed, trials, steps, horizon_T), trials)
+    w_T, endpoints, max_step, max_path = _stream_in_ranges(seed, trials, steps, horizon_T)
     real_channel, imag_channel = _standard_channels(endpoints)
     return EndpointStatistics(brownian_endpoints=w_T, real_channel=real_channel,
                               imag_channel=imag_channel, max_step_residual=max_step,

@@ -117,7 +117,9 @@ def test_reused_work_buffers_match_a_fresh_kernel_per_block(data):
         reused = stochastic._reduce_block(block, work=work)
         assert all(same(a, b) for a, b in zip(reused, expected))
     firsts = np.cumsum([0] + row_counts[:-1])
-    w_T, endpoints, step, path = stochastic._reduce_blocks(zip(firsts, blocks), sum(row_counts))
+    w_T = np.empty(sum(row_counts))
+    endpoints = np.empty(sum(row_counts), dtype=np.complex128)
+    step, path = stochastic._reduce_blocks(zip(firsts, blocks), w_T, endpoints)
     assert same(w_T, np.concatenate([f[0] for f in fresh]))
     assert same(endpoints, np.concatenate([f[1] for f in fresh]))
     assert same(step, np.max([f[2] for f in fresh]))

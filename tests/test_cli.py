@@ -74,6 +74,16 @@ def test_fig3_rejects_non_finite_horizon(tmp_path, horizon):
     assert not out.exists()
 
 
+# Each size asks numpy for hundreds of GiB; the refused allocation is a
+# usage error with a one-line message, not a traceback.
+@pytest.mark.parametrize("flag", ["--trials", "--steps", "--bins"])
+def test_fig3_reports_a_size_too_large_for_memory_as_usage_error(tmp_path, capsys, flag):
+    args = ["fig3", "--trials", "100", "--steps", "1", flag, "100000000000"]
+    assert main([*args, "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_fig3_statistical_failure_exit_code(tmp_path):
     # alpha=0.99 shrinks the KS threshold below what a correct sampler
     # achieves; at this pinned seed every check fails

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from parcelwalk.stats import (
     gaussian_fit,
@@ -192,3 +195,18 @@ def test_ks_tests_reject_non_finite_samples(bad):
         ks_two_sample(x, x.copy())
     with pytest.raises(ValueError):
         ks_two_sample(np.zeros(100), x)
+
+
+CDF_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 38.0, -38.0,
+                      1e300, -1e300]
+
+
+# The parent's formula iterated numpy scalars; iterating Python floats must
+# not move a bit, signed zeros and the saturated tails included.
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.integers(1, 30),
+              elements=st.floats(allow_nan=False) | st.sampled_from(CDF_SPECIAL_VALUES)))
+def test_std_normal_cdf_matches_the_numpy_scalar_formula(x):
+    expected = [0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
+    assert [v.hex() for v in std_normal_cdf(x).tolist()] == [v.hex() for v in expected]
+    assert std_normal_cdf(x[0]).hex() == expected[0].hex()

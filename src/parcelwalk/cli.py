@@ -23,8 +23,12 @@ import argparse
 import hashlib
 import json
 import math
+import shutil
 import sys
+import tempfile
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
+from itertools import starmap
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -141,20 +145,67 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 # artifact helpers
 # ---------------------------------------------------------------------------
 
+def _csv_row_format(header: list[str]):
+    """``format`` of one CSV line with a field per header column.
+
+    An empty format spec gives ``repr`` for a float and ``str`` for an int
+    or a bool, in one C-level call per row.
+    """
+    return (",".join(["{}"] * len(header)) + "\n").format
+
+
 def _write_csv(path: Path, header: list[str], rows) -> None:
     """Write ``rows`` as they are generated; floats as ``repr``, everything else as ``str``."""
     with path.open("w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
-                          for row in rows)
+        handle.writelines(starmap(_csv_row_format(header), rows))
+
+
+def _write_trial_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """``_write_csv`` of the rows ``zip(range(trials), *columns)``, formatted on every CPU.
+
+    The trials split into the ranges of ``stochastic._run_in_ranges``.  The
+    parent writes the header and the first range straight into ``path``, each
+    forked worker its own range into an anonymous temporary file opened
+    before the fork, and the parent then appends those in order.  A row's
+    text does not depend on its range, so the file is the same for any
+    number of ranges; the temporary files have no name, so a failed or
+    killed run leaves none behind.
+    """
+    from . import stochastic
+
+    bounds = stochastic._range_bounds(len(columns[0]))
+    row = _csv_row_format(header)
+    with ExitStack() as stack:
+        handle = stack.enter_context(path.open("w", encoding="utf-8"))
+        parts = [handle] + [
+            stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent))
+            for _ in bounds[2:]]
+        handle.write(",".join(header) + "\n")
+        # Flushed before the fork, so no worker's copy of the buffer holds
+        # text that could reach the file twice.
+        handle.flush()
+
+        def write_range(r: int, lo: int, hi: int) -> None:
+            parts[r].writelines(starmap(row, zip(range(lo, hi),
+                                                 *(column[lo:hi].tolist() for column in columns))))
+            parts[r].flush()  # a worker leaves through os._exit, which flushes nothing
+
+        stochastic._run_in_ranges(bounds, write_range)
+        for part in parts[1:]:
+            part.seek(0)
+            shutil.copyfileobj(part, handle)
+
+
+def _json_text(name: str, payload: dict) -> str:
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ValueError(f"{name} not written: {exc}") from None
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    try:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as exc:
-        raise ValueError(f"{path.name} not written: {exc}") from None
-    path.write_text(text + "\n", encoding="utf-8")
+    path.write_text(_json_text(path.name, payload), encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -181,8 +232,7 @@ def _histogram_csv(path: Path, hist: stats.Histogram) -> None:
     _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], rows)
 
 
-def _render_overlay_svg(path: Path, series: list[tuple[str, str, np.ndarray, np.ndarray]],
-                        title: str) -> None:
+def _overlay_svg(series: list[tuple[str, str, np.ndarray, np.ndarray]], title: str) -> str:
     """Polyline overlay plot: each series is (label, color, xs, ys)."""
     width, height, margin = 720, 440, 56
     x_lo = min(float(xs.min()) for _, _, xs, _ in series)
@@ -223,7 +273,7 @@ def _render_overlay_svg(path: Path, series: list[tuple[str, str, np.ndarray, np.
         parts.append(f'<text x="{width - margin - 120}" y="{ly}" font-size="11" '
                      f'font-family="sans-serif">{label}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return "\n".join(parts) + "\n"
 
 
 def _hist_polyline(hist: stats.Histogram) -> tuple[np.ndarray, np.ndarray]:
@@ -283,21 +333,11 @@ def cmd_fig3(config: RunConfig) -> int:
         "passed": two.passes(config.alpha),
     })
 
-    artifacts = []
-    endpoints_csv = out_dir / "endpoints.csv"
-    _write_csv(endpoints_csv, ["trial", "brownian_scaled", "real_channel", "imag_channel"],
-               zip(range(config.trials), brownian_scaled.tolist(), real_ch.tolist(),
-                   imag_ch.tolist()))
-    artifacts.append(endpoints_csv)
-
-    hists = {}
-    for name, samples in named:
-        hist = stats.histogram_build(samples, config.n_bins, _STANDARD_RANGE)
-        hists[name] = hist
-        csv_path = out_dir / f"hist_{name}.csv"
-        _histogram_csv(csv_path, hist)
-        artifacts.append(csv_path)
-
+    # Every result is built before the first file is written, so a run that
+    # fails here (a histogram too large for memory, a non-finite value in the
+    # verdict) leaves the output directory as it was.
+    hists = {name: stats.histogram_build(samples, config.n_bins, _STANDARD_RANGE)
+             for name, samples in named}
     fits = {name: dict(zip(("mu", "sigma"), stats.gaussian_fit(samples)))
             for name, samples in named}
 
@@ -307,20 +347,29 @@ def cmd_fig3(config: RunConfig) -> int:
     for (name, _), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
         xs, ys = _hist_polyline(hists[name])
         series.append((name.replace("_", " "), color, xs, ys))
-    svg_path = out_dir / "fig3_overlay.svg"
-    _render_overlay_svg(svg_path, series, "Brownian kernel vs rotated square-root channels")
-    artifacts.append(svg_path)
+    svg_text = _overlay_svg(series, "Brownian kernel vs rotated square-root channels")
 
     all_passed = all(c["passed"] for c in checks)
-    verdict_path = out_dir / "verdict.json"
-    _write_json(verdict_path, {
+    verdict_text = _json_text("verdict.json", {
         "checks": checks,
         "all_passed": all_passed,
         "square_identity": {"max_step_residual": max_step, "max_path_residual": max_path},
         "gaussian_fits": fits,
         "channel_reports": reports,
     })
-    artifacts.append(verdict_path)
+
+    endpoints_csv = out_dir / "endpoints.csv"
+    _write_trial_csv(endpoints_csv, ["trial", "brownian_scaled", "real_channel", "imag_channel"],
+                     [brownian_scaled, real_ch, imag_ch])
+    artifacts = [endpoints_csv]
+    for name, hist in hists.items():
+        csv_path = out_dir / f"hist_{name}.csv"
+        _histogram_csv(csv_path, hist)
+        artifacts.append(csv_path)
+    for name, text in (("fig3_overlay.svg", svg_text), ("verdict.json", verdict_text)):
+        path = out_dir / name
+        path.write_text(text, encoding="utf-8")
+        artifacts.append(path)
 
     _write_manifest(out_dir, "fig3", asdict(config), artifacts)
     return EXIT_OK if all_passed else EXIT_STAT

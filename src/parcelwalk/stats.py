@@ -67,7 +67,9 @@ def gaussian_fit(samples) -> tuple[float, float]:
 def std_normal_cdf(x) -> np.ndarray:
     """CDF of N(0, 1), elementwise."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in arr.tolist()])
+    # The scaling, the shift and the halving are the same correctly rounded
+    # IEEE operations on the array as on each Python float; only erf needs libm.
+    out = 0.5 * (1.0 + np.array(list(map(math.erf, (arr / math.sqrt(2.0)).tolist()))))
     return out if np.ndim(x) else out[0]
 
 

@@ -24,8 +24,10 @@ contiguous range per CPU, the calling process reduces the first range and a
 forked worker each of the others, writing its rows and maxima into one
 anonymous shared mapping.  A row's results do not depend on where the blocks
 split, so the results are the same bit for bit for any number of ranges, and
-that number is recorded nowhere.  Whole-ensemble generation
-(``brownian_increments``) and its reductions stay serial.
+that number is recorded nowhere.  The fork code lives in ``_run_in_ranges``
+alone; the CLI formats ``endpoints.csv`` over the same ranges with it.
+Whole-ensemble generation (``brownian_increments``) and its reductions stay
+serial.
 
 The kernel works in real arithmetic: each root increment lies on one axis,
 so its square is the real square of its parcel value times the square of
@@ -138,12 +140,16 @@ def _row_source(seed: int, steps: int, horizon_T: float):
     bit_generator = np.random.Philox(key=seed)
     generator = np.random.Generator(bit_generator)
     state = bit_generator.state
-    counter = state["state"]["counter"]
+    # Plain lists: the setter reads them element by element either way, and
+    # a list costs less to read and to write than a numpy uint64 array.
+    counter = [0, 0, 0, 0]
+    state["state"] = {"counter": counter, "key": state["state"]["key"].tolist()}
+    state["buffer"] = state["buffer"].tolist()
     scale = math.sqrt(horizon_T / steps)
 
     def fill(rows: np.ndarray, first_trial: int) -> None:
         for i, row in enumerate(rows):
-            counter[:] = (0, 0, 0, first_trial + i)
+            counter[3] = first_trial + i
             bit_generator.state = state
             generator.standard_normal(out=row)
         # normal(0.0, scale) computes 0.0 + scale * z: the += 0.0 keeps its
@@ -322,23 +328,62 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _range_bounds(n: int) -> list[int]:
+    """Bounds of ``n`` items split into contiguous ranges, one per CPU, never more than ``n``.
+
+    Range ``r`` is ``[bounds[r], bounds[r + 1])``.
+    """
+    ranges = min(n, _cpu_count())
+    return [n * r // ranges for r in range(ranges + 1)]
+
+
+def _run_in_ranges(bounds: list[int], job) -> None:
+    """Run ``job(r, lo, hi)`` for every range of ``bounds``, each range in its own process.
+
+    The caller runs range 0 itself after forking one worker per other range.
+    A job shares nothing with the caller but what was set up before the
+    fork: a worker returns its results through a shared mapping or a file
+    opened beforehand.  A worker never returns into the caller's code: it
+    leaves through ``os._exit``, which flushes no buffer, with status 0 only
+    when its job returned.  Every worker is reaped however the caller's own
+    range ends; one that failed or was killed makes this raise
+    ``ChildProcessError`` (an ``OSError``).
+
+    Forking is safe here although numpy may have started BLAS threads: the
+    jobs run only ufuncs, reductions, a Philox generator they create
+    themselves, float formatting and file writes, none of which needs a lock
+    that another thread could hold.
+    """
+    workers = []
+    try:
+        for r in range(1, len(bounds) - 1):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    job(r, bounds[r], bounds[r + 1])
+                    status = 0
+                finally:
+                    os._exit(status)
+            workers.append(pid)
+        job(0, bounds[0], bounds[1])
+    finally:
+        statuses = [os.waitpid(pid, 0)[1] for pid in workers]
+    failed = [os.waitstatus_to_exitcode(status) for status in statuses if status != 0]
+    if failed:
+        raise ChildProcessError(f"{len(failed)} fig3 worker(s) failed, exit codes {failed} "
+                                "(negative: killed by that signal)")
+
+
 def _stream_in_ranges(seed: int, trials: int, steps: int, horizon_T: float):
     """``(w_T, endpoints, max_step, max_path)`` of the streamed ensemble, one range per CPU.
 
-    Trials split into contiguous ranges.  The parent reduces the first and
-    one forked worker each other range, writing its rows and its two maxima
-    straight into one anonymous shared mapping allocated before the fork.
-    A worker never returns into the caller: it leaves through ``os._exit``,
-    with status 0 only when its range was reduced.  A worker that fails or
-    is killed makes the parent raise ``ChildProcessError``; every worker is
-    reaped however the parent's own range ends.
-
-    Forking is safe here although numpy may have started BLAS threads: a
-    worker runs only ufuncs, reductions and a Philox generator it creates
-    itself, none of which needs a lock that another thread could hold.
+    ``_run_in_ranges`` reduces the trial ranges; each writes its rows and its
+    two maxima straight into one anonymous shared mapping allocated before
+    the fork.
     """
-    ranges = min(trials, _cpu_count())
-    bounds = [trials * r // ranges for r in range(ranges + 1)]
+    bounds = _range_bounds(trials)
+    ranges = len(bounds) - 1
     try:
         mapping = mmap.mmap(-1, 8 * (3 * trials + 2 * ranges))
     except OSError as exc:
@@ -350,36 +395,22 @@ def _stream_in_ranges(seed: int, trials: int, steps: int, horizon_T: float):
     w_T = shared[2 * trials:3 * trials]
     maxima = shared[3 * trials:].reshape(ranges, 2)
 
-    def reduce_range(r: int) -> None:
-        blocks = _streamed_blocks(seed, steps, horizon_T, bounds[r], bounds[r + 1])
-        maxima[r] = _reduce_blocks(blocks, w_T, endpoints)
+    def reduce_range(r: int, lo: int, hi: int) -> None:
+        maxima[r] = _reduce_blocks(_streamed_blocks(seed, steps, horizon_T, lo, hi),
+                                   w_T, endpoints)
 
-    workers = []
-    try:
-        for r in range(1, ranges):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    reduce_range(r)
-                    status = 0
-                finally:
-                    os._exit(status)
-            workers.append(pid)
-        reduce_range(0)
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in workers]
-    failed = [os.waitstatus_to_exitcode(status) for status in statuses if status != 0]
-    if failed:
-        raise ChildProcessError(f"{len(failed)} fig3 worker(s) failed, exit codes {failed} "
-                                "(negative: killed by that signal)")
+    _run_in_ranges(bounds, reduce_range)
     max_step, max_path = np.maximum.reduce(maxima)
     return w_T, endpoints, float(max_step), float(max_path)
 
 
+def _check_statistics_trials(trials: int) -> None:
+    """Refuse an ensemble too small for endpoint statistics, before any pass over it."""
+    if trials < 100:
+        raise ValueError(f"endpoint statistics need >= 100 trials, got {trials}")
+
+
 def _standard_channels(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    if len(endpoints) < 100:
-        raise ValueError(f"endpoint statistics need >= 100 trials, got {len(endpoints)}")
     rotated = endpoints * WICK_FACTOR
     channels = []
     for values in (rotated.real, rotated.imag):
@@ -400,6 +431,7 @@ def sqrt_endpoint_statistics(ensemble: PathEnsemble,
     positive drift from E|dW|**(1/2) that the rotation does not remove).
     ``chunk`` rows are reduced at a time; the result does not depend on it.
     """
+    _check_statistics_trials(ensemble.trials)
     endpoints, _, _ = _reduce_ensemble(ensemble, chunk)
     return _standard_channels(endpoints)
 
@@ -427,6 +459,7 @@ def stream_endpoint_statistics(seed: int, trials: int, steps: int,
     a failed worker raises ``ChildProcessError``.
     """
     _check_ensemble_args(seed, trials, steps, horizon_T)
+    _check_statistics_trials(trials)
     w_T, endpoints, max_step, max_path = _stream_in_ranges(seed, trials, steps, horizon_T)
     real_channel, imag_channel = _standard_channels(endpoints)
     return EndpointStatistics(brownian_endpoints=w_T, real_channel=real_channel,

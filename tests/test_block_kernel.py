@@ -151,3 +151,12 @@ def test_streaming_guards():
     for horizon in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             stream_endpoint_statistics(1, 200, 8, horizon)
+
+
+def test_too_few_trials_are_refused_before_any_row_is_generated(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row source was built")
+
+    monkeypatch.setattr(stochastic, "_row_source", no_rows)
+    with pytest.raises(ValueError, match="100 trials"):
+        stream_endpoint_statistics(1, 99, 200_000, 1.0)

@@ -84,6 +84,13 @@ def test_fig3_reports_a_size_too_large_for_memory_as_usage_error(tmp_path, capsy
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_fig3_failing_before_its_first_file_leaves_the_output_directory_empty(tmp_path):
+    out = tmp_path / "x"
+    args = ["fig3", "--trials", "100", "--steps", "1", "--bins", "100000000000"]
+    assert main([*args, "--out", str(out)]) == EXIT_USAGE
+    assert list(out.iterdir()) == []
+
+
 def test_fig3_statistical_failure_exit_code(tmp_path):
     # alpha=0.99 shrinks the KS threshold below what a correct sampler
     # achieves; at this pinned seed every check fails

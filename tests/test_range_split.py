@@ -1,8 +1,8 @@
-"""The fig3 pass split into trial ranges reduced by forked workers.
+"""The fig3 pass and endpoints.csv split into trial ranges run by forked workers.
 
-The CPU-count helper is patched to force 1, 2 and 4 ranges.  Results must
-be the same bit for bit for every range count, a worker's NaN and a
-worker's failure must reach the parent, and no call may leave a child
+The CPU-count helper is patched to force 1, 2 and 4 ranges.  Results and
+files must be the same bit for bit for every range count, a worker's NaN
+and a worker's failure must reach the parent, and no call may leave a child
 process unreaped.
 """
 import hashlib
@@ -10,12 +10,16 @@ import json
 import math
 import os
 import signal
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from parcelwalk import stochastic
-from parcelwalk.cli import EXIT_IO, EXIT_OK, main
+from parcelwalk import cli, stochastic
+from parcelwalk.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
 
 FIG3_ARGS = ["fig3", "--seed", "7", "--trials", "300", "--steps", "16"]
 
@@ -129,3 +133,96 @@ def test_cpu_count_falls_back_without_affinity_or_fork(monkeypatch):
     assert stochastic._cpu_count() == os.cpu_count()
     monkeypatch.delattr(os, "fork")
     assert stochastic._cpu_count() == 1
+
+
+FIG3_FILES = ["endpoints.csv", "fig3_overlay.svg", "hist_brownian_endpoints.csv",
+              "hist_sqrt_imag_channel.csv", "hist_sqrt_real_channel.csv", "manifest.json",
+              "verdict.json"]
+ENDPOINTS_HEADER = ["trial", "brownian_scaled", "real_channel", "imag_channel"]
+
+
+@pytest.mark.parametrize("trials, steps", [(100, 1), (1001, 129)])
+def test_endpoints_csv_is_byte_identical_for_one_two_and_four_ranges(tmp_path, monkeypatch,
+                                                                     trials, steps):
+    csvs = set()
+    for n in (1, 2, 4):
+        force_ranges(monkeypatch, n)
+        out = tmp_path / f"ranges{n}"
+        args = ["fig3", "--seed", "7", "--trials", str(trials), "--steps", str(steps)]
+        assert main([*args, "--out", str(out)]) in (EXIT_OK, EXIT_STAT)
+        assert sorted(path.name for path in out.iterdir()) == FIG3_FILES
+        csvs.add((out / "endpoints.csv").read_bytes())
+    assert len(csvs) == 1
+
+
+def test_trial_csv_with_fewer_trials_than_ranges_matches_the_serial_writer(tmp_path,
+                                                                           monkeypatch):
+    columns = [np.array([0.1, -0.0, 5e-324]), np.array([1.7e308, np.inf, -np.inf]),
+               np.array([np.nan, -2.5, 1e-7])]
+    serial = tmp_path / "serial.csv"
+    cli._write_csv(serial, ENDPOINTS_HEADER, zip(range(3), *(c.tolist() for c in columns)))
+    for n in (1, 2, 4):
+        force_ranges(monkeypatch, n)
+        split = tmp_path / f"ranges{n}.csv"
+        cli._write_trial_csv(split, ENDPOINTS_HEADER, columns)
+        assert split.read_bytes() == serial.read_bytes()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "ranges1.csv", "ranges2.csv", "ranges4.csv", "serial.csv"]
+
+
+def fail_formatting(monkeypatch, how):
+    """Make every forked worker fail while it formats its rows of endpoints.csv."""
+    parent = os.getpid()
+    row_format = cli._csv_row_format
+
+    def failing_format(header):
+        row = row_format(header)
+
+        def format_in(*values):
+            if os.getpid() != parent:
+                if how == "signal":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                raise RuntimeError("planted failure in a formatting worker")
+            return row(*values)
+
+        return format_in
+
+    monkeypatch.setattr(cli, "_csv_row_format", failing_format)
+
+
+@pytest.mark.parametrize("how", ["raise", "signal"])
+def test_failed_formatting_worker_exits_3_leaving_only_endpoints_csv(tmp_path, monkeypatch,
+                                                                     capsys, how):
+    force_ranges(monkeypatch, 2)
+    fail_formatting(monkeypatch, how)
+    out = tmp_path / "run"
+    assert main([*FIG3_ARGS, "--out", str(out)]) == EXIT_IO
+    assert [path.name for path in out.iterdir()] == ["endpoints.csv"]
+    assert "worker" in capsys.readouterr().err
+
+
+def old_csv_bytes(header, rows):
+    """The CSV writer's bytes before it formatted each row with one format call."""
+    lines = [",".join(header) + "\n"]
+    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n"
+              for row in rows]
+    return "".join(lines).encode("utf-8")
+
+
+CSV_VALUES = st.one_of(
+    st.integers(), st.booleans(), st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7e308, -1.7e308,
+                     math.inf, -math.inf, math.nan]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda width: st.lists(st.lists(CSV_VALUES, min_size=width, max_size=width), max_size=20)
+    .map(lambda rows: (width, rows))))
+def test_write_csv_bytes_match_the_repr_and_str_formula(width_rows):
+    width, rows = width_rows
+    header = [f"c{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.csv"
+        cli._write_csv(path, header, rows)
+        assert path.read_bytes() == old_csv_bytes(header, rows)

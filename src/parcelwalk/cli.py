@@ -5,10 +5,15 @@ comparison), ``triangle`` (row dumps and Gaussian-convergence tables),
 ``geometry`` (circle/oscillator/sphere quantization reports), ``kernels``
 (grid dumps and the imaginary-time identity residual).
 
-Every run writes a ``manifest.json`` with the resolved configuration and a
-sha256 per artifact; re-running with the same configuration reproduces the
-artifacts byte for byte.  JSON artifacts are strict: a non-finite value is
-an error, and the file that would hold it is not written.  Exit codes:
+Each subcommand validates its flags, computes, and writes through one
+``_RunDir``.  It owns the output directory: it removes an old run's
+``manifest.json`` right before the first artifact is opened and writes the
+new one last, with the resolved configuration and a sha256 per artifact
+keyed by bare file name, so a failed rerun leaves no stale manifest.  It
+also maps the verdict to the exit code.  Re-running with the same
+configuration reproduces the artifacts byte for byte.  JSON artifacts are
+strict: a non-finite value is an error, and the file that would hold it is
+not written.  Exit codes:
 0 success, 1 usage (a non-finite result, or a size too large for memory,
 included), 2 statistical failure, 3 I/O failure (a failed ``fig3`` worker
 process included).
@@ -27,7 +32,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import ExitStack
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import starmap
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -36,8 +41,6 @@ from . import kernels, triangle
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from . import stats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -95,38 +98,18 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "seed": int,
-    "trials": int,
-    "steps": int,
-    "horizon_T": float,
-    "n_bins": int,
-    "alpha": float,
-    "output_dir": str,
-}
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults < config file < explicit CLI flags."""
-    merged = asdict(RunConfig())
-    if getattr(args, "config", None):
+    """Merge defaults < config file < explicit CLI flags; each flag's dest is its field."""
+    types = {field.name: type(field.default) for field in fields(RunConfig)}
+    merged = {}
+    if args.config:
         for key, raw in load_config_file(args.config).items():
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise UsageError(f"unknown config key: {key}")
-            merged[key] = _CONFIG_TYPES[key](raw)
-    flag_map = {
-        "seed": "seed",
-        "trials": "trials",
-        "steps": "steps",
-        "horizon": "horizon_T",
-        "bins": "n_bins",
-        "alpha": "alpha",
-        "out": "output_dir",
-    }
-    for flag, key in flag_map.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            merged[key] = value
+            merged[key] = types[key](raw)
+    for key in types:
+        if getattr(args, key) is not None:
+            merged[key] = getattr(args, key)
     config = RunConfig(**merged)
     if config.seed < 0:
         raise UsageError("seed must be non-negative")
@@ -138,6 +121,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("bins must be >= 1")
     if not 0.0 < config.alpha < 1.0:
         raise UsageError("alpha must be in (0, 1)")
+    if config.trials < 100:
+        raise UsageError(
+            f"trials={config.trials} is below the minimum of 100 for endpoint statistics"
+        )
     return config
 
 
@@ -204,32 +191,60 @@ def _json_text(name: str, payload: dict) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(_json_text(path.name, payload), encoding="utf-8")
+class _RunDir:
+    """The output directory of one run: it owns the artifacts, the manifest and the exit code.
+
+    The first artifact path handed out removes an old run's ``manifest.json``
+    and ``finish`` writes the new one last, so the directory never holds a
+    manifest whose checksums do not match its files.  A run refused before
+    its first artifact leaves the old run's files as they were.  Manifest
+    keys are bare file names (those in ``rows/`` too): the benchmark gate
+    looks them up so.
+    """
+
+    def __init__(self, out: str, *subdirs: str) -> None:
+        self.dir = Path(out)
+        self.dir.mkdir(parents=True, exist_ok=True)
+        for sub in subdirs:
+            (self.dir / sub).mkdir(exist_ok=True)
+        self.artifacts: list[Path] = []
+
+    def path(self, name: str) -> Path:
+        """Path of the artifact ``name`` (relative to the directory), to be written next."""
+        if not self.artifacts:
+            (self.dir / "manifest.json").unlink(missing_ok=True)
+        path = self.dir / name
+        self.artifacts.append(path)
+        return path
+
+    def write_text(self, name: str, text: str) -> None:
+        self.path(name).write_text(text, encoding="utf-8")
+
+    def write_json(self, name: str, payload: dict) -> None:
+        self.write_text(name, _json_text(name, payload))
+
+    def finish(self, command: str, config: dict, passed: bool) -> int:
+        """Write ``manifest.json`` last; return the exit code of the verdict ``passed``."""
+        artifacts = {}
+        for path in self.artifacts:
+            data = path.read_bytes()
+            artifacts[path.name] = {"sha256": hashlib.sha256(data).hexdigest(),
+                                    "bytes": len(data)}
+        canonical = json.dumps(config, sort_keys=True).encode("utf-8")
+        manifest = {
+            "command": command,
+            "config": config,
+            "config_hash": hashlib.sha256(canonical).hexdigest(),
+            "artifacts": artifacts,
+        }
+        (self.dir / "manifest.json").write_text(_json_text("manifest.json", manifest),
+                                                encoding="utf-8")
+        return EXIT_OK if passed else EXIT_STAT
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(out_dir: Path, command: str, config: dict, artifacts: list[Path]) -> None:
-    canonical = json.dumps(config, sort_keys=True).encode("utf-8")
-    manifest = {
-        "command": command,
-        "config": config,
-        "config_hash": hashlib.sha256(canonical).hexdigest(),
-        "artifacts": {
-            p.name: {"sha256": _sha256(p), "bytes": p.stat().st_size}
-            for p in sorted(artifacts)
-        },
-    }
-    _write_json(out_dir / "manifest.json", manifest)
-
-
-def _histogram_csv(path: Path, hist: stats.Histogram) -> None:
-    edges = hist.edges.tolist()
-    rows = zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist())
-    _write_csv(path, ["bin_lo", "bin_hi", "count", "density"], rows)
+def _flags(args: argparse.Namespace) -> dict:
+    """A subcommand's parsed flags, as its manifest records them."""
+    return {key: value for key, value in vars(args).items() if key not in ("command", "run")}
 
 
 def _overlay_svg(series: list[tuple[str, str, np.ndarray, np.ndarray]], title: str) -> str:
@@ -276,27 +291,18 @@ def _overlay_svg(series: list[tuple[str, str, np.ndarray, np.ndarray]], title: s
     return "\n".join(parts) + "\n"
 
 
-def _hist_polyline(hist: stats.Histogram) -> tuple[np.ndarray, np.ndarray]:
-    centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
-    return centers, hist.densities()
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fig3(config: RunConfig) -> int:
+def cmd_fig3(args: argparse.Namespace) -> int:
     """Brownian endpoints vs Wick-rotated square-root channels, with KS verdicts."""
+    config = resolve_config(args)  # before numpy loads: a usage error stays cheap
     import numpy as np
 
     from . import stats, stochastic
 
-    if config.trials < 100:
-        raise UsageError(
-            f"trials={config.trials} is below the minimum of 100 for endpoint statistics"
-        )
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    run = _RunDir(config.output_dir)
 
     summary = stochastic.stream_endpoint_statistics(
         config.seed, config.trials, config.steps, config.horizon_T
@@ -345,8 +351,9 @@ def cmd_fig3(config: RunConfig) -> int:
     curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
     series = [("standard normal", "black", curve_x, curve_y)]
     for (name, _), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
-        xs, ys = _hist_polyline(hists[name])
-        series.append((name.replace("_", " "), color, xs, ys))
+        hist = hists[name]
+        centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
+        series.append((name.replace("_", " "), color, centers, hist.densities()))
     svg_text = _overlay_svg(series, "Brownian kernel vs rotated square-root channels")
 
     all_passed = all(c["passed"] for c in checks)
@@ -358,41 +365,32 @@ def cmd_fig3(config: RunConfig) -> int:
         "channel_reports": reports,
     })
 
-    endpoints_csv = out_dir / "endpoints.csv"
-    _write_trial_csv(endpoints_csv, ["trial", "brownian_scaled", "real_channel", "imag_channel"],
+    _write_trial_csv(run.path("endpoints.csv"),
+                     ["trial", "brownian_scaled", "real_channel", "imag_channel"],
                      [brownian_scaled, real_ch, imag_ch])
-    artifacts = [endpoints_csv]
     for name, hist in hists.items():
-        csv_path = out_dir / f"hist_{name}.csv"
-        _histogram_csv(csv_path, hist)
-        artifacts.append(csv_path)
-    for name, text in (("fig3_overlay.svg", svg_text), ("verdict.json", verdict_text)):
-        path = out_dir / name
-        path.write_text(text, encoding="utf-8")
-        artifacts.append(path)
-
-    _write_manifest(out_dir, "fig3", asdict(config), artifacts)
-    return EXIT_OK if all_passed else EXIT_STAT
+        edges = hist.edges.tolist()
+        _write_csv(run.path(f"hist_{name}.csv"), ["bin_lo", "bin_hi", "count", "density"],
+                   zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist()))
+    run.write_text("fig3_overlay.svg", svg_text)
+    run.write_text("verdict.json", verdict_text)
+    return run.finish("fig3", asdict(config), all_passed)
 
 
-def cmd_triangle(n_max: int, kind: str, out: str) -> int:
+def cmd_triangle(args: argparse.Namespace) -> int:
     """Row dumps plus the amplitude-vs-binomial residual and convergence tables.
 
     One pass builds each row once: the classical row by Pascal addition, the
     quantum row from its counts, and the pmf ``C(n, k) / 2**n`` from the same
     counts; the residuals and sup errors reuse these lists.
     """
+    n_max, kind = args.n_max, args.kind
     if not 1 <= n_max <= triangle.MAX_ROW:
         raise UsageError(f"n_max must be in [1, {triangle.MAX_ROW}], got {n_max}")
-    out_dir = Path(out)
-    rows_dir = out_dir / "rows"
-    rows_dir.mkdir(parents=True, exist_ok=True)
-    artifacts = []
+    run = _RunDir(args.out, "rows")
 
     def dump(row: triangle.TriangleRow) -> None:
-        path = rows_dir / f"{row.kind}_n{row.n:04d}.csv"
-        path.write_text(triangle.row_csv(row), encoding="utf-8")
-        artifacts.append(path)
+        run.write_text(f"rows/{row.kind}_n{row.n:04d}.csv", triangle.row_csv(row))
 
     kinds = ["classical", "quantum"] if kind == "both" else [kind]
     classical = triangle.classical_row(0)
@@ -417,39 +415,29 @@ def cmd_triangle(n_max: int, kind: str, out: str) -> int:
         sup_rows.append((n, *(triangle.sup_error(probs[which]) for which in kinds)))
 
     if "quantum" in kinds:
-        residual_path = out_dir / "modulus_residuals.csv"
-        _write_csv(residual_path, ["n", "max_abs_residual"], residual_rows)
-        artifacts.append(residual_path)
-
-    sup_path = out_dir / "sup_error.csv"
-    _write_csv(sup_path, ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
-    artifacts.append(sup_path)
+        _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
+    _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
 
     passed = max_residual <= 1e-10
-    verdict_path = out_dir / "verdict.json"
-    _write_json(verdict_path, {
+    run.write_json("verdict.json", {
         "n_max": n_max,
         "kind": kind,
         "max_modulus_residual": max_residual,
         "passed": passed,
     })
-    artifacts.append(verdict_path)
-    _write_manifest(out_dir, "triangle", {"n_max": n_max, "kind": kind, "out": out}, artifacts)
-    return EXIT_OK if passed else EXIT_STAT
+    return run.finish("triangle", _flags(args), passed)
 
 
-def cmd_geometry(report: str, out: str, circle_n: int = 64, oscillator_n_max: int = 10,
-                 hbar: float = 1.0, omega: float = 1.0, sphere_samples: int = 1000,
-                 seed: int = 42) -> int:
+def cmd_geometry(args: argparse.Namespace) -> int:
     """JSON quantization reports for the circle, oscillator, and sphere checks."""
     import numpy as np
 
     from . import geometry
 
+    report, circle_n, hbar, omega = args.report, args.circle_n, args.hbar, args.omega
+    sphere_samples, seed = args.sphere_samples, args.seed
     if report in ("sphere", "all") and sphere_samples < 1:
         raise UsageError(f"sphere_samples must be >= 1, got {sphere_samples}")
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     sections = {}
     all_passed = True
 
@@ -474,7 +462,7 @@ def cmd_geometry(report: str, out: str, circle_n: int = 64, oscillator_n_max: in
     if report in ("oscillator", "all"):
         rows = []
         passed = True
-        for n in range(oscillator_n_max + 1):
+        for n in range(args.oscillator_n_max + 1):
             energy = (n + 0.5) * hbar * omega
             spec = geometry.OscillatorSpec(energy_E=energy, omega=omega, hbar=hbar, n_quanta=n)
             volumes = geometry.oscillator_volumes(spec)
@@ -516,14 +504,9 @@ def cmd_geometry(report: str, out: str, circle_n: int = 64, oscillator_n_max: in
         }
         all_passed &= passed
 
-    report_path = out_dir / "geometry_report.json"
-    _write_json(report_path, {"sections": sections, "all_passed": all_passed})
-    _write_manifest(out_dir, "geometry",
-                    {"report": report, "circle_n": circle_n,
-                     "oscillator_n_max": oscillator_n_max, "hbar": hbar, "omega": omega,
-                     "sphere_samples": sphere_samples, "seed": seed, "out": out},
-                    [report_path])
-    return EXIT_OK if all_passed else EXIT_STAT
+    run = _RunDir(args.out)
+    run.write_json("geometry_report.json", {"sections": sections, "all_passed": all_passed})
+    return run.finish("geometry", _flags(args), all_passed)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -542,37 +525,37 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-def cmd_kernels(out: str, diffusion: float = 0.5, hbar: float = 1.0, mass: float = 1.0,
-                n_x: int = 40, n_t: int = 25) -> int:
-    """Kernel grid dumps plus the imaginary-time identity residual."""
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    spec = kernels.KernelSpec(diffusion_D=diffusion, hbar=hbar, mass_m=mass)
-    xs = _linspace(-4.0, 4.0, n_x)
-    ts = _linspace(0.1, 2.5, n_t)
+# Points of the kernels grid in x and in t; the manifest records them.
+_KERNEL_GRID = {"n_x": 40, "n_t": 25}
+
+
+def cmd_kernels(args: argparse.Namespace) -> int:
+    """Kernel grid dumps plus the imaginary-time identity residual.
+
+    The residual (with its ``D = hbar/(2m)`` check) and the verdict are
+    computed before the first file is written, so a refused run leaves
+    ``--out`` as it was.
+    """
+    spec = kernels.KernelSpec(diffusion_D=args.diffusion, hbar=args.hbar, mass_m=args.mass)
+    xs = _linspace(-4.0, 4.0, _KERNEL_GRID["n_x"])
+    ts = _linspace(0.1, 2.5, _KERNEL_GRID["n_t"])
     grid = [(x, t) for t in ts for x in xs]
-
-    heat_path = out_dir / "heat_kernel_grid.csv"
-    _write_csv(heat_path, ["x", "t", "re", "im"],
-               ((x, t, kernels.heat_kernel(spec, x, t), 0.0) for x, t in grid))
-    schrod_values = [(x, t, kernels.schrodinger_kernel(spec, x, t)) for x, t in grid]
-    schrod_path = out_dir / "schrodinger_kernel_grid.csv"
-    _write_csv(schrod_path, ["x", "t", "re", "im"],
-               ((x, t, value.real, value.imag) for x, t, value in schrod_values))
-
     residual = kernels.wick_identity_residual(spec, spec, grid)
     passed = residual <= 1e-12
-    verdict_path = out_dir / "verdict.json"
-    _write_json(verdict_path, {
+    verdict_text = _json_text("verdict.json", {
         "grid_points": len(grid),
         "wick_identity_residual": residual,
         "passed": passed,
     })
-    _write_manifest(out_dir, "kernels",
-                    {"diffusion": diffusion, "hbar": hbar, "mass": mass,
-                     "n_x": n_x, "n_t": n_t, "out": out},
-                    [heat_path, schrod_path, verdict_path])
-    return EXIT_OK if passed else EXIT_STAT
+
+    run = _RunDir(args.out)
+    _write_csv(run.path("heat_kernel_grid.csv"), ["x", "t", "re", "im"],
+               ((x, t, kernels.heat_kernel(spec, x, t), 0.0) for x, t in grid))
+    schrod_values = [(x, t, kernels.schrodinger_kernel(spec, x, t)) for x, t in grid]
+    _write_csv(run.path("schrodinger_kernel_grid.csv"), ["x", "t", "re", "im"],
+               ((x, t, value.real, value.imag) for x, t, value in schrod_values))
+    run.write_text("verdict.json", verdict_text)
+    return run.finish("kernels", {**_flags(args), **_KERNEL_GRID}, passed)
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +571,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--steps", type=int, default=None)
-    parser.add_argument("--horizon", type=float, default=None)
-    parser.add_argument("--bins", type=int, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--config", type=str, default=None)
+    # Each dest is a RunConfig field; unset flags stay None for resolve_config.
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--trials", type=int)
+    parser.add_argument("--steps", type=int)
+    parser.add_argument("--horizon", type=float, dest="horizon_T", metavar="HORIZON")
+    parser.add_argument("--bins", type=int, dest="n_bins", metavar="BINS")
+    parser.add_argument("--alpha", type=float)
+    parser.add_argument("--out", dest="output_dir", metavar="OUT")
+    parser.add_argument("--config")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -604,14 +588,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig3 = sub.add_parser("fig3", help="Brownian vs rotated square-root comparison")
+    fig3.set_defaults(run=cmd_fig3)
     _add_run_flags(fig3)
 
     tri = sub.add_parser("triangle", help="triangle rows and convergence tables")
+    tri.set_defaults(run=cmd_triangle)
     tri.add_argument("--n-max", type=int, default=50)
     tri.add_argument("--kind", choices=["classical", "quantum", "both"], default="both")
     tri.add_argument("--out", type=str, default="out")
 
     geo = sub.add_parser("geometry", help="quantization reports")
+    geo.set_defaults(run=cmd_geometry)
     geo.add_argument("--report", choices=["circle", "oscillator", "sphere", "all"],
                      default="all")
     geo.add_argument("--circle-n", type=int, default=64)
@@ -623,6 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
     geo.add_argument("--out", type=str, default="out")
 
     ker = sub.add_parser("kernels", help="kernel grid dumps and identity residual")
+    ker.set_defaults(run=cmd_kernels)
     ker.add_argument("--diffusion", type=float, default=0.5)
     ker.add_argument("--hbar", type=float, default=1.0)
     ker.add_argument("--mass", type=float, default=1.0)
@@ -632,26 +620,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "fig3":
-            return cmd_fig3(resolve_config(args))
-        if args.command == "triangle":
-            return cmd_triangle(args.n_max, args.kind, args.out)
-        if args.command == "geometry":
-            return cmd_geometry(args.report, args.out, circle_n=args.circle_n,
-                                oscillator_n_max=args.oscillator_n_max, hbar=args.hbar,
-                                omega=args.omega, sphere_samples=args.sphere_samples,
-                                seed=args.seed)
-        if args.command == "kernels":
-            return cmd_kernels(args.out, diffusion=args.diffusion, hbar=args.hbar,
-                               mass=args.mass)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+        args = build_parser().parse_args(argv)
+        return args.run(args)
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

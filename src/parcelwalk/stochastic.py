@@ -44,6 +44,7 @@ import errno
 import math
 import mmap
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,9 +346,10 @@ def _run_in_ranges(bounds: list[int], job) -> None:
     fork: a worker returns its results through a shared mapping or a file
     opened beforehand.  A worker never returns into the caller's code: it
     leaves through ``os._exit``, which flushes no buffer, with status 0 only
-    when its job returned.  Every worker is reaped however the caller's own
-    range ends; one that failed or was killed makes this raise
-    ``ChildProcessError`` (an ``OSError``).
+    when its job returned; a job that raised prints its traceback to stderr
+    first.  Every worker is reaped however the caller's own range ends; one
+    that failed or was killed makes this raise ``ChildProcessError`` (an
+    ``OSError``).
 
     Forking is safe here although numpy may have started BLAS threads: the
     jobs run only ufuncs, reductions, a Philox generator they create
@@ -363,6 +365,11 @@ def _run_in_ranges(bounds: list[int], job) -> None:
                 try:
                     job(r, bounds[r], bounds[r + 1])
                     status = 0
+                except Exception:
+                    import traceback  # only a failing worker needs it
+
+                    traceback.print_exc()
+                    sys.stderr.flush()
                 finally:
                     os._exit(status)
             workers.append(pid)

@@ -50,6 +50,10 @@ EXIT_IO = 3
 # Fixed plotting/histogram window for standardized samples.
 _STANDARD_RANGE = (-4.5, 4.5)
 
+# Points per chunk of the geometry sphere check: its temporaries stay under
+# a MiB whatever --sphere-samples is.
+_SPHERE_CHUNK = 1024
+
 
 class UsageError(Exception):
     pass
@@ -429,15 +433,29 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def cmd_geometry(args: argparse.Namespace) -> int:
-    """JSON quantization reports for the circle, oscillator, and sphere checks."""
+    """JSON quantization reports for the circle, oscillator, and sphere checks.
+
+    Every flag is checked before anything is computed, and the report is
+    built before the output directory is made, so a refused run leaves
+    ``--out`` as it was.
+    """
     import numpy as np
 
     from . import geometry
 
     report, circle_n, hbar, omega = args.report, args.circle_n, args.hbar, args.omega
     sphere_samples, seed = args.sphere_samples, args.seed
-    if report in ("sphere", "all") and sphere_samples < 1:
-        raise UsageError(f"sphere_samples must be >= 1, got {sphere_samples}")
+    for name, value in (("hbar", hbar), ("omega", omega)):
+        if not (value > 0 and math.isfinite(value)):
+            raise UsageError(f"{name} must be positive and finite, got {value}")
+    for name, value, lo, hi in (("circle_n", circle_n, 4, geometry.MAX_CIRCLE_N),
+                                ("oscillator_n_max", args.oscillator_n_max, 0,
+                                 geometry.MAX_OSCILLATOR_N),
+                                ("sphere_samples", sphere_samples, 1,
+                                 geometry.MAX_SPHERE_SAMPLES),
+                                ("seed", seed, 0, 2**128 - 1)):
+        if not lo <= value <= hi:
+            raise UsageError(f"{name} must be in [{lo}, {hi}], got {value}")
     sections = {}
     all_passed = True
 
@@ -481,17 +499,23 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         all_passed &= passed
 
     if report in ("sphere", "all"):
+        # One generator drawn chunk by chunk gives the bytes of one
+        # (sphere_samples, 3) draw; maxima and counts fold exactly.
         rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
-        u = rng.uniform(-1.0, 1.0, size=(sphere_samples, 3))
-        scalar, offdiag = geometry.sphere_map_square(u)
-        # Squares through libm pow, as ``x ** 2`` on a Python or numpy scalar
-        # does; numpy's array power rounds about 0.1% of them differently.
-        squares = np.array([x ** 2 for x in u.ravel().tolist()]).reshape(u.shape)
-        expected = squares[:, 2] - squares[:, 0] - squares[:, 1]
-        gap = scalar - expected
-        worst_offdiag = float(offdiag.max())
-        worst_scalar_gap = float(np.hypot(gap.real, gap.imag).max())
-        n_plus = int(np.count_nonzero(expected > 0))
+        worst_offdiag = worst_scalar_gap = 0.0
+        n_plus = 0
+        for start in range(0, sphere_samples, _SPHERE_CHUNK):
+            u = rng.uniform(-1.0, 1.0, size=(min(_SPHERE_CHUNK, sphere_samples - start), 3))
+            scalar, offdiag = geometry.sphere_map_square(u)
+            # Squares through libm pow, as ``x ** 2`` on a Python or numpy
+            # scalar does; numpy's array power rounds about 0.1% of them
+            # differently.
+            squares = np.array([x ** 2 for x in u.ravel().tolist()]).reshape(u.shape)
+            expected = squares[:, 2] - squares[:, 0] - squares[:, 1]
+            gap = scalar - expected
+            worst_offdiag = max(worst_offdiag, float(offdiag.max()))
+            worst_scalar_gap = max(worst_scalar_gap, float(np.hypot(gap.real, gap.imag).max()))
+            n_plus += int(np.count_nonzero(expected > 0))
         passed = worst_offdiag <= 1e-12 and worst_scalar_gap <= 1e-12
         sections["sphere"] = {
             "samples": sphere_samples,
@@ -504,8 +528,10 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         }
         all_passed &= passed
 
+    report_text = _json_text("geometry_report.json",
+                             {"sections": sections, "all_passed": all_passed})
     run = _RunDir(args.out)
-    run.write_json("geometry_report.json", {"sections": sections, "all_passed": all_passed})
+    run.write_text("geometry_report.json", report_text)
     return run.finish("geometry", _flags(args), all_passed)
 
 

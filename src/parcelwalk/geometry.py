@@ -3,9 +3,11 @@
 Four independent checks of the same theme (geometry forced onto an integer
 ladder): the circle's spectral commutation relation, the 2*pi*N length rule,
 harmonic-oscillator phase-space areas, and the sphere's two-valued square.
-The sphere map and its square take one point or a whole ``(N, 3)`` sample
-at once; the stacked square runs one 2x2 product per point through the
-same ``matmul`` kernel, so each result keeps the single-point bits.
+The circle check reads ``Y^dagger [D, Y]`` off the shift permutation in
+O(N) integer arithmetic, with no N x N matrix.  The sphere map and its
+square take one point or a whole ``(N, 3)`` sample at once; the stacked
+square runs one 2x2 product per point through the same ``matmul`` kernel,
+so each result keeps the single-point bits.
 """
 from __future__ import annotations
 
@@ -15,6 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordElement, gamma_basis, scalar_decompose
+
+# Largest inputs the command line accepts.  The circle check holds a few
+# arrays of N entries (about 2.5 MiB at the cap).  The sphere check runs in
+# fixed chunks, so its cap bounds the running time (about 15 s on a 2-vCPU
+# VM), not memory.  Each oscillator level is one row of the JSON report.
+MAX_CIRCLE_N = 2**16
+MAX_SPHERE_SAMPLES = 10**7
+MAX_OSCILLATOR_N = 1000
 
 
 @dataclass(frozen=True)
@@ -58,6 +68,14 @@ def fourier_modes(n_points: int) -> np.ndarray:
     return np.arange(-(n_points // 2), (n_points + 1) // 2)
 
 
+def mode_shift(n_points: int) -> np.ndarray:
+    """The unit phase map Y in mode space, as the permutation of mode indices j -> (j+1) % N.
+
+    Y sends mode m to m+1; the top mode wraps back to the bottom one.
+    """
+    return (np.arange(n_points) + 1) % n_points
+
+
 def circle_quantization_residual(model: CircleModel) -> tuple[float, float]:
     """Measure Y^dagger [D, Y] against the identity in the Fourier basis.
 
@@ -67,17 +85,15 @@ def circle_quantization_residual(model: CircleModel) -> tuple[float, float]:
     entry deviates from 1: the wrap mode carries the value 1 - N.  Returns
     ``(interior_residual, wrap_value)`` where the interior residual is the
     max deviation from the identity away from that single wrap entry.
+
+    For a permutation Y (``Y e_j = e_s(j)``), ``Y^dagger D Y`` is
+    ``diag(modes[s])`` and ``Y^dagger Y = I``, so ``Y^dagger [D, Y]`` is the
+    diagonal ``modes[s] - modes``: exact integers, no off-diagonal entry.
     """
     n = model.n_points
     modes = fourier_modes(n)
-    deriv = np.diag(modes.astype(np.complex128))
-    shift = np.zeros((n, n), dtype=np.complex128)
-    shift[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
-    m = shift.conj().T @ (deriv @ shift - shift @ deriv)
-    deviation = np.abs(m - np.eye(n))
-    wrap_value = float(m[n - 1, n - 1].real)
-    deviation[n - 1, n - 1] = 0.0
-    return float(deviation.max()), wrap_value
+    diagonal = modes[mode_shift(n)] - modes
+    return float(np.abs(diagonal[:-1] - 1).max()), float(diagonal[-1])
 
 
 def length_quantization_check(length: float, tol: float) -> int | None:
@@ -106,7 +122,10 @@ def oscillator_volumes(spec: OscillatorSpec) -> OscillatorVolumes:
     exactly when E = (n + 1/2)*hbar*omega.
     """
     a = math.sqrt(2.0 * spec.energy_E)
-    b = math.sqrt(2.0 * spec.energy_E / spec.omega**2)
+    try:
+        b = math.sqrt(2.0 * spec.energy_E / spec.omega**2)
+    except OverflowError:
+        raise ValueError(f"omega**2 overflows a float at omega = {spec.omega}") from None
     classical = math.pi * a * b
     quantized = 2.0 * math.pi * (spec.n_quanta + 0.5) * spec.hbar
     return OscillatorVolumes(classical_volume=classical, quantized_volume=quantized,

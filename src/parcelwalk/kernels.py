@@ -23,8 +23,9 @@ class KernelSpec:
 
     def __post_init__(self) -> None:
         for name in ("diffusion_D", "hbar", "mass_m"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def heat_kernel(spec: KernelSpec, x: float, t: float) -> float:
@@ -56,11 +57,14 @@ def schrodinger_kernel(spec: KernelSpec, x: float, t: float) -> complex:
 def wick_identity_residual(spec_heat: KernelSpec, spec_schrod: KernelSpec, grid) -> float:
     """Max over (x, t) pairs of |heat kernel at time i*t - free propagator at t|.
 
-    Requires the dictionary D == hbar/(2m) (to 1e-12 relative) and t > 0
-    throughout the grid.
+    Requires the dictionary D == hbar/(2m) (to 1e-12 relative), with
+    hbar/(2m) finite, and t > 0 throughout the grid.  A NaN gap makes the
+    residual NaN, so it can never read as a pass.
     """
     d = spec_heat.diffusion_D
     target = spec_schrod.hbar / (2.0 * spec_schrod.mass_m)
+    if not math.isfinite(target):
+        raise ValueError(f"hbar/(2m) = {target} is not finite")
     if abs(d - target) > 1e-12 * max(abs(d), abs(target)):
         raise ValueError(
             f"constants mismatch: D = {d} but hbar/(2m) = {target}; "
@@ -72,5 +76,7 @@ def wick_identity_residual(spec_heat: KernelSpec, spec_schrod: KernelSpec, grid)
             raise ValueError(f"grid times must be positive, got {t}")
         gap = abs(heat_kernel_complex_time(spec_heat, x, 1j * t)
                   - schrodinger_kernel(spec_schrod, x, t))
+        if math.isnan(gap):
+            return gap  # max() would drop it: max(0.0, nan) is 0.0
         worst = max(worst, gap)
     return worst

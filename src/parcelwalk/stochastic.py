@@ -55,9 +55,10 @@ from .clifford import CliffordElement, gamma_basis
 # mirror-symmetric rays about the real axis.
 WICK_FACTOR = cmath.exp(-1j * math.pi / 4.0)
 
-# Increments per streamed block (at least one row): a block and the kernel's
-# temporaries stay a few MiB whatever the ensemble size.
-_BLOCK_ELEMENTS = 2**17
+# Increments per streamed block (at least one row): a block (256 KiB of
+# doubles) and the kernel's temporaries stay near the size of a core's L2
+# cache whatever the ensemble size.
+_BLOCK_ELEMENTS = 2**15
 
 # Parcel values of the signs +1 and -1, as parcel_from_bernoulli maps them;
 # the block kernel squares each root increment through these.

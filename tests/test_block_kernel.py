@@ -76,8 +76,8 @@ def test_block_source_matches_fresh_generator_per_trial(seed, first_trial, n_tri
         assert row.tobytes() == fresh.normal(0.0, scale, steps).tobytes()
 
 
-# 1001 x 129 is one partial block; 3001 x 129 and 700 x 1000 span several
-# blocks with a partial last one.  chunk re-partitions the ensemble side.
+# 1001 x 129, 3001 x 129 and 700 x 1000 span several blocks with a partial
+# last one; 150 x 1 is one partial block.  chunk re-partitions the ensemble side.
 @pytest.mark.parametrize("trials, steps, chunk", [
     (1001, 129, None), (3001, 129, 37), (700, 1000, None), (150, 1, 7),
 ])
@@ -90,6 +90,13 @@ def test_streaming_matches_materialised_ensemble_bit_for_bit(trials, steps, chun
     assert streamed.real_channel.tobytes() == real_ch.tobytes()
     assert streamed.imag_channel.tobytes() == imag_ch.tobytes()
     assert (streamed.max_step_residual, streamed.max_path_residual) == residuals
+
+
+def test_streaming_one_partial_block_matches_materialised_ensemble():
+    steps = 129
+    trials = stochastic._block_rows(steps) - 3  # rows of 129 steps fill no whole block
+    assert trials >= 100  # the streaming minimum
+    test_streaming_matches_materialised_ensemble_bit_for_bit(trials, steps, None)
 
 
 def test_wrong_parcel_map_fails_square_identity():

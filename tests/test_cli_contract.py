@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from parcelwalk import kernels
+from parcelwalk import geometry, kernels
 from parcelwalk.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -32,3 +32,40 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     args = ["geometry", "--report", "sphere", "--sphere-samples", "0", "--out", str(out)]
     assert main(args) == EXIT_USAGE
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["geometry", "--omega", "1e308"],
+    ["geometry", "--omega", "1e200", "--report", "oscillator"],
+    ["geometry", "--omega", "inf"],
+    ["geometry", "--omega", "nan"],
+    ["geometry", "--omega", "0"],
+    ["geometry", "--hbar", "-1"],
+    ["geometry", "--hbar", "inf"],
+    ["geometry", "--hbar", "1e300", "--omega", "1e10"],
+    ["geometry", "--report", "oscillator", "--oscillator-n-max", "-5"],
+    ["geometry", "--oscillator-n-max", str(geometry.MAX_OSCILLATOR_N + 1)],
+    ["geometry", "--circle-n", "100000"],
+    ["geometry", "--circle-n", "3"],
+    ["geometry", "--sphere-samples", str(geometry.MAX_SPHERE_SAMPLES + 1)],
+    ["geometry", "--seed", "-1"],
+    ["kernels", "--hbar", "1e308", "--mass", "1e-308"],
+    ["kernels", "--diffusion", "inf"],
+    ["kernels", "--diffusion", "nan"],
+    ["kernels", "--mass", "inf"],
+])
+def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
+    out = tmp_path / "run"
+    assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("report, flag, cap", [
+    ("circle", "--circle-n", geometry.MAX_CIRCLE_N),
+    ("oscillator", "--oscillator-n-max", geometry.MAX_OSCILLATOR_N),
+])
+def test_geometry_accepts_each_size_at_its_cap(tmp_path, report, flag, cap):
+    assert main(["geometry", "--report", report, flag, str(cap),
+                 "--out", str(tmp_path / "geo")]) == EXIT_OK

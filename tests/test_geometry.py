@@ -1,8 +1,14 @@
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from parcelwalk import cli, geometry
 from parcelwalk.clifford import gamma_basis
 from parcelwalk.geometry import (
     OscillatorSpec,
@@ -11,12 +17,32 @@ from parcelwalk.geometry import (
     circle_quantization_residual,
     fourier_modes,
     length_quantization_check,
+    mode_shift,
     oscillator_volumes,
     sphere_map,
     sphere_map_square,
 )
 
 GI, G1, G2, G3 = gamma_basis()
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def dense_shift_commutator(modes, successor):
+    """Mode-space oracle: Y^dagger [D, Y] from dense N x N complex products.
+
+    D = diag(modes) and Y is the permutation matrix with Y e_j = e_successor[j].
+    Returns ``(interior_residual, wrap_value)`` as circle_quantization_residual
+    defines them: the wrap entry is the last diagonal one.
+    """
+    n = len(modes)
+    deriv = np.diag(np.asarray(modes).astype(np.complex128))
+    shift = np.zeros((n, n), dtype=np.complex128)
+    shift[successor, np.arange(n)] = 1.0
+    m = shift.conj().T @ (deriv @ shift - shift @ deriv)
+    deviation = np.abs(m - np.eye(n))
+    wrap_value = float(m[n - 1, n - 1].real)
+    deviation[n - 1, n - 1] = 0.0
+    return float(deviation.max()), wrap_value
 
 
 def dense_circle_commutation(n):
@@ -81,6 +107,102 @@ def test_circle_quantization_against_dense_oracle(n):
     assert abs(oracle_wrap - wrap) <= 1e-10
 
 
+def test_circle_quantization_equals_dense_products_exactly():
+    for n in range(4, 202):
+        expected = dense_shift_commutator(fourier_modes(n), mode_shift(n))
+        assert circle_quantization_residual(circle_model(n)) == expected, n
+        assert expected == (0.0, float(1 - n))
+
+
+def shift_by_two(n):
+    return (np.arange(n) + 2) % n
+
+
+def gapped_ladder(n):
+    modes = fourier_modes(n)
+    return np.where(modes > 0, modes + 1, modes)
+
+
+@pytest.mark.parametrize("patch, value", [("mode_shift", shift_by_two),
+                                          ("fourier_modes", gapped_ladder)])
+@pytest.mark.parametrize("n", [8, 33])
+def test_wrong_shift_or_mode_ladder_fails_the_circle_verdict(tmp_path, monkeypatch,
+                                                            patch, value, n):
+    monkeypatch.setattr(geometry, patch, value)
+    interior, wrap = circle_quantization_residual(circle_model(n))
+    assert (interior, wrap) == dense_shift_commutator(geometry.fourier_modes(n),
+                                                      geometry.mode_shift(n))
+    out = tmp_path / "geo"
+    args = ["geometry", "--report", "circle", "--circle-n", str(n), "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_STAT
+    circle = json.loads((out / "geometry_report.json").read_text())["sections"]["circle"]
+    assert circle["passed"] is False
+
+
+def whole_array_sphere_section(samples, seed):
+    """The sphere section from one (samples, 3) draw and one batched square."""
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
+    u = rng.uniform(-1.0, 1.0, size=(samples, 3))
+    scalar, offdiag = sphere_map_square(u)
+    squares = np.array([x ** 2 for x in u.ravel().tolist()]).reshape(u.shape)
+    expected = squares[:, 2] - squares[:, 0] - squares[:, 1]
+    gap = scalar - expected
+    worst_offdiag = float(offdiag.max())
+    worst_scalar_gap = float(np.hypot(gap.real, gap.imag).max())
+    n_plus = int(np.count_nonzero(expected > 0))
+    return {
+        "samples": samples,
+        "seed": seed,
+        "plus_one_fraction": n_plus / samples,
+        "minus_one_fraction": (samples - n_plus) / samples,
+        "max_offdiag_residual": worst_offdiag,
+        "max_scalar_gap": worst_scalar_gap,
+        "passed": worst_offdiag <= 1e-12 and worst_scalar_gap <= 1e-12,
+    }
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, cli._SPHERE_CHUNK + 1])
+def test_chunked_sphere_report_matches_the_whole_array(tmp_path, extra):
+    samples = cli._SPHERE_CHUNK + extra
+    out = tmp_path / "geo"
+    args = ["geometry", "--report", "sphere", "--sphere-samples", str(samples),
+            "--seed", "5", "--out", str(out)]
+    assert cli.main(args) == cli.EXIT_OK
+    section = whole_array_sphere_section(samples, 5)
+    reference = cli._json_text("geometry_report.json",
+                               {"sections": {"sphere": section}, "all_passed": True})
+    assert (out / "geometry_report.json").read_text(encoding="utf-8") == reference
+
+
+# On Linux a child's ru_maxrss starts at its parent's high-water RSS, which
+# exec keeps, so each child is spawned from a fresh interpreter that imports
+# nothing large, not from the test process.
+PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mib(argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    result = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, *argv], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    code, maxrss_kib = map(int, result.stdout.split())
+    assert code == 0
+    return maxrss_kib / 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "wait4"), reason="needs os.wait4")
+def test_geometry_memory_stays_flat_in_the_sizes(tmp_path):
+    baseline = _peak_rss_mib(["-c", "import numpy.random, parcelwalk.cli, parcelwalk.geometry"])
+    run = _peak_rss_mib(["-m", "parcelwalk.cli", "geometry", "--report", "all",
+                         "--circle-n", "1024", "--sphere-samples", "100000",
+                         "--out", str(tmp_path / "geo")])
+    assert run - baseline <= 8.0, (run, baseline)
+
+
 def test_single_wrap_mode_fraction_shrinks():
     # exactly one deviant diagonal entry regardless of N, so the bad-mode
     # fraction is 1/N and vanishes in the continuum limit
@@ -134,6 +256,11 @@ def test_oscillator_spec_validation():
         OscillatorSpec(energy_E=0.0, omega=1.0)
     with pytest.raises(ValueError):
         OscillatorSpec(energy_E=1.0, omega=1.0, n_quanta=-1)
+
+
+def test_oscillator_volumes_reject_an_overflowing_omega():
+    with pytest.raises(ValueError, match="overflows"):
+        oscillator_volumes(OscillatorSpec(energy_E=1.0, omega=1e200))
 
 
 def test_sphere_map_basis_directions():

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from parcelwalk import kernels
 from parcelwalk.kernels import (
     KernelSpec,
     heat_kernel,
@@ -26,6 +27,10 @@ def test_kernel_spec_requires_positive_constants():
         KernelSpec(hbar=-1.0)
     with pytest.raises(ValueError):
         KernelSpec(mass_m=0.0)
+    for name in ("diffusion_D", "hbar", "mass_m"):
+        for value in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                KernelSpec(**{name: value})
 
 
 def test_heat_kernel_peak_value():
@@ -110,6 +115,25 @@ def test_wick_identity_residual_on_grid():
 def test_wick_identity_rejects_mismatched_constants():
     with pytest.raises(ValueError):
         wick_identity_residual(KernelSpec(diffusion_D=1.0), KernelSpec(), [(0.0, 1.0)])
+
+
+def test_wick_identity_rejects_a_non_finite_dictionary():
+    # hbar/(2m) overflows, and any D would match it: |D - inf| > 1e-12 * inf is False
+    spec = KernelSpec(hbar=1e308, mass_m=1e-308)
+    with pytest.raises(ValueError, match="not finite"):
+        wick_identity_residual(SPEC, spec, [(0.0, 1.0)])
+
+
+@pytest.mark.parametrize("bad_index", [0, 1, 2])
+def test_nan_gap_makes_the_residual_nan(monkeypatch, bad_index):
+    grid = [(0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
+    real = kernels.schrodinger_kernel
+
+    def planted(spec, x, t):
+        return complex(math.nan, 0.0) if x == grid[bad_index][0] else real(spec, x, t)
+
+    monkeypatch.setattr(kernels, "schrodinger_kernel", planted)
+    assert math.isnan(wick_identity_residual(SPEC, SPEC, grid))
 
 
 def test_wick_identity_rejects_nonpositive_times():

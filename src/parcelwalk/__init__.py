@@ -18,13 +18,11 @@ import importlib
 _EXPORTS = {
     "clifford": (
         "CliffordElement",
-        "ComplexScalar",
         "adjoint",
         "bracket",
         "dirac_symbol_square",
         "element",
         "gamma_basis",
-        "mul",
         "pauli_basis",
         "pauli_coefficients",
         "scalar_decompose",

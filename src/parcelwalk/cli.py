@@ -115,8 +115,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if getattr(args, key) is not None:
             merged[key] = getattr(args, key)
     config = RunConfig(**merged)
-    if config.seed < 0:
-        raise UsageError("seed must be non-negative")
+    if not 0 <= config.seed < 2**64:
+        raise UsageError(f"seed must be in [0, 2**64), got {config.seed}")
     if config.steps < 1 or config.trials < 1:
         raise UsageError("trials and steps must be >= 1")
     if not (config.horizon_T > 0 and math.isfinite(config.horizon_T)):
@@ -306,27 +306,28 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
     from . import stats, stochastic
 
-    run = _RunDir(config.output_dir)
-
     summary = stochastic.stream_endpoint_statistics(
         config.seed, config.trials, config.steps, config.horizon_T
     )
     endpoints = summary.brownian_endpoints
-    scale = endpoints.std()
-    if scale == 0.0:
-        raise UsageError("degenerate ensemble: endpoint variance is zero")
+    with np.errstate(over="ignore"):
+        scale = endpoints.std()
+    if not (scale > 0.0 and math.isfinite(scale)):
+        raise UsageError(f"degenerate ensemble: endpoint spread is {scale}")
     brownian_scaled = (endpoints - endpoints.mean()) / scale
     real_ch, imag_ch = summary.real_channel, summary.imag_channel
     max_step, max_path = summary.max_step_residual, summary.max_path_residual
 
     checks = []
     reports = {}
+    fits = {}
     named = [("brownian_endpoints", brownian_scaled),
              ("sqrt_real_channel", real_ch),
              ("sqrt_imag_channel", imag_ch)]
     for name, samples in named:
         report = stats.stats_report(samples, stats.std_normal_cdf, config.alpha)
         reports[name] = report.to_dict()
+        fits[name] = {"mu": report.mean, "sigma": math.sqrt(report.variance)}
         checks.append({
             "name": f"ks_{name}_vs_normal",
             "statistic": report.ks_statistic,
@@ -343,13 +344,11 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         "passed": two.passes(config.alpha),
     })
 
-    # Every result is built before the first file is written, so a run that
-    # fails here (a histogram too large for memory, a non-finite value in the
-    # verdict) leaves the output directory as it was.
+    # Every result is built before the output directory is made, so a run
+    # that fails here (a histogram too large for memory, a non-finite value in
+    # the verdict) leaves ``--out`` as it was.
     hists = {name: stats.histogram_build(samples, config.n_bins, _STANDARD_RANGE)
              for name, samples in named}
-    fits = {name: dict(zip(("mu", "sigma"), stats.gaussian_fit(samples)))
-            for name, samples in named}
 
     curve_x = np.linspace(*_STANDARD_RANGE, 181)
     curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
@@ -369,6 +368,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         "channel_reports": reports,
     })
 
+    run = _RunDir(config.output_dir)
     _write_trial_csv(run.path("endpoints.csv"),
                      ["trial", "brownian_scaled", "real_channel", "imag_channel"],
                      [brownian_scaled, real_ch, imag_ch])
@@ -384,9 +384,9 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 def cmd_triangle(args: argparse.Namespace) -> int:
     """Row dumps plus the amplitude-vs-binomial residual and convergence tables.
 
-    One pass builds each row once: the classical row by Pascal addition, the
-    quantum row from its counts, and the pmf ``C(n, k) / 2**n`` from the same
-    counts; the residuals and sup errors reuse these lists.
+    One pass builds each row once, with its profile: the classical row by
+    Pascal addition, the quantum row from its pmf.  The row files, residuals
+    and sup errors (against one Gaussian row per ``n``) read those profiles.
     """
     n_max, kind = args.n_max, args.kind
     if not 1 <= n_max <= triangle.MAX_ROW:
@@ -405,18 +405,17 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     sup_rows = []
     for n in range(1, n_max + 1):
         classical = triangle.next_classical_row(classical)
-        scale = 1 << n
-        probs = {"classical": [c / scale for c in classical.values]}
+        rows = {"classical": classical}
         if "classical" in kinds:
             dump(classical)
         if "quantum" in kinds:
-            quantum = triangle.qtpt_row(n, classical.values)
+            quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
             dump(quantum)
-            probs["quantum"] = [abs(a) ** 2 for a in quantum.values]
-            residual = max(abs(m - p) for m, p in zip(probs["quantum"], probs["classical"]))
+            residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
             residual_rows.append((n, residual))
             max_residual = max(max_residual, residual)
-        sup_rows.append((n, *(triangle.sup_error(probs[which]) for which in kinds)))
+        gauss = triangle.gaussian_approx_row(n)
+        sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss) for which in kinds)))
 
     if "quantum" in kinds:
         _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)

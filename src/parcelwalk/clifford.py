@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Type aliases for the public surface; a CliffordElement is always a
-# 2x2 complex128 array.
-ComplexScalar = complex
+# Type alias for the public surface; a CliffordElement is always a 2x2
+# complex128 array.
 CliffordElement = np.ndarray
 
 
@@ -46,11 +45,6 @@ def gamma_basis() -> tuple[CliffordElement, CliffordElement, CliffordElement, Cl
     never share arrays.
     """
     return pauli_basis()
-
-
-def mul(a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Matrix product a @ b."""
-    return a @ b
 
 
 def adjoint(a: CliffordElement) -> CliffordElement:

@@ -164,11 +164,15 @@ def stats_report(samples, reference_cdf, alpha: float) -> StatsReport:
     x = np.asarray(samples, dtype=float)
     mean = float(x.mean())
     centered = x - mean
-    m2 = float((centered**2).mean())
+    m2 = s2 = float((centered**2).mean())
+    if m2 < 1e-100 and centered.any():
+        # Shape moments do not depend on scale; the powers of so small a spread underflow.
+        centered = centered / np.abs(centered).max()
+        s2 = float((centered**2).mean())
     m3 = float((centered**3).mean())
     m4 = float((centered**4).mean())
-    skew = m3 / m2**1.5 if m2 > 0 else 0.0
-    kurt = m4 / m2**2 - 3.0 if m2 > 0 else 0.0
+    skew = m3 / s2**1.5 if s2 > 0 else 0.0
+    kurt = m4 / s2**2 - 3.0 if s2 > 0 else 0.0
     ks = ks_one_sample(x, reference_cdf)
     threshold = ks.threshold_at(alpha)
     return StatsReport(

@@ -422,9 +422,10 @@ def _standard_channels(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rotated = endpoints * WICK_FACTOR
     channels = []
     for values in (rotated.real, rotated.imag):
-        sigma = values.std()
-        if sigma == 0.0:
-            raise ValueError("degenerate ensemble: channel has zero sample variance")
+        with np.errstate(over="ignore"):
+            sigma = values.std()
+        if not (sigma > 0.0 and math.isfinite(sigma)):
+            raise ValueError(f"degenerate ensemble: channel spread is {sigma}")
         channels.append((values - values.mean()) / sigma)
     return channels[0], channels[1]
 

@@ -5,12 +5,12 @@ amplitudes whose squared moduli reproduce the binomial probabilities, so
 every distributional statement about the classical triangle transfers
 verbatim to the amplitude triangle.
 
-A pass over rows 0..N builds each row once: :func:`next_classical_row`
-adds the previous row to itself shifted (Pascal's rule, no ``math.comb``),
-and :func:`qtpt_row` takes that row's counts, so the pmf is
-``C(n, k) / 2**n`` from the counts already held.  Every value is
-bit-identical to the per-entry functions :func:`binomial_pmf` and
-:func:`qtpt_amplitude`.  The module is pure Python and never imports numpy.
+A pass over rows 0..N builds each row once, with its profile: Pascal's
+rule (:func:`next_classical_row`, no ``math.comb``) and one division by
+``2**n`` per count, then :func:`qtpt_row`'s amplitudes from that pmf and
+one squared modulus each.  Every value is bit-identical to the per-entry
+functions :func:`binomial_pmf` and :func:`qtpt_amplitude`.  The module is
+pure Python and never imports numpy.
 """
 from __future__ import annotations
 
@@ -29,6 +29,7 @@ class TriangleRow:
     n: int
     values: list
     kind: str  # "classical" | "quantum"
+    probs: list  # the row's profile: C(n, k) / 2**n, or |psi_nk|**2
 
 
 def _check_row_index(n: int, minimum: int = 0) -> None:
@@ -36,10 +37,16 @@ def _check_row_index(n: int, minimum: int = 0) -> None:
         raise ValueError(f"row index must be an integer in [{minimum}, {MAX_ROW}], got {n}")
 
 
+def _classical(n: int, counts: list[int]) -> TriangleRow:
+    # The pmf C(n, k) / 2**n: exact big-integer division, rounded once to float.
+    scale = 1 << n
+    return TriangleRow(n, counts, "classical", [c / scale for c in counts])
+
+
 def classical_row(n: int) -> TriangleRow:
     """Exact binomial coefficients C(n, 0..n); Python ints, no overflow."""
     _check_row_index(n)
-    return TriangleRow(n, [math.comb(n, k) for k in range(n + 1)], "classical")
+    return _classical(n, [math.comb(n, k) for k in range(n + 1)])
 
 
 def next_classical_row(row: TriangleRow) -> TriangleRow:
@@ -52,12 +59,12 @@ def next_classical_row(row: TriangleRow) -> TriangleRow:
         raise ValueError(f"Pascal addition needs a classical row, got {row.kind!r}")
     _check_row_index(row.n + 1)
     values = row.values
-    return TriangleRow(row.n + 1, [1, *map(operator.add, values, values[1:]), 1], "classical")
+    return _classical(row.n + 1, [1, *map(operator.add, values, values[1:]), 1])
 
 
 def binomial_pmf(n: int, k: int) -> float:
     """C(n, k) / 2**n via exact big-integer division, rounded once to float."""
-    return math.comb(n, k) / (1 << n)
+    return _classical(n, [math.comb(n, k)]).probs[0]
 
 
 def _amplitude_phase(n: int, k: int) -> float:
@@ -88,21 +95,19 @@ def qtpt_amplitude(n: int, k: int) -> complex:
     return _amplitude(n, k, binomial_pmf(n, k))
 
 
-def qtpt_row(n: int, counts: list[int] | None = None) -> TriangleRow:
-    """All n+1 amplitudes of row n; squared moduli sum to 1.
+def qtpt_row(n: int, classical: TriangleRow | None = None) -> TriangleRow:
+    """All n+1 amplitudes of row n, from the pmf of classical row n; ``probs`` sum to 1.
 
-    ``counts`` are C(n, 0..n), the values of classical row n, when the caller
-    already holds them; otherwise they are computed.  Each amplitude equals
-    ``qtpt_amplitude(n, k)`` bit for bit.
+    ``classical`` is that row when the caller already holds it; otherwise it
+    is built.  Each amplitude equals ``qtpt_amplitude(n, k)`` bit for bit.
     """
     _check_row_index(n, minimum=1)
-    if counts is None:
-        counts = classical_row(n).values
-    elif len(counts) != n + 1:
-        raise ValueError(f"row {n} needs {n + 1} counts, got {len(counts)}")
-    scale = 1 << n
-    return TriangleRow(n, [_amplitude(n, k, c / scale) for k, c in enumerate(counts)],
-                       "quantum")
+    if classical is None:
+        classical = classical_row(n)
+    elif classical.kind != "classical" or classical.n != n:
+        raise ValueError(f"row {n} needs classical row {n}, got {classical.kind} {classical.n}")
+    values = [_amplitude(n, k, p) for k, p in enumerate(classical.probs)]
+    return TriangleRow(n, values, "quantum", [abs(a) ** 2 for a in values])
 
 
 def gaussian_approx_row(n: int) -> list[float]:
@@ -114,10 +119,9 @@ def gaussian_approx_row(n: int) -> list[float]:
     return [norm * math.exp(-((k - n / 2.0) ** 2) / (2.0 * var)) for k in range(n + 1)]
 
 
-def sup_error(probs: list[float]) -> float:
-    """Sup over k of |probs[k] - gaussian[k]| for a row profile p(0..n), n >= 1."""
-    gauss = gaussian_approx_row(len(probs) - 1)
-    return max(abs(p - g) for p, g in zip(probs, gauss))
+def sup_error(probs: list[float], gauss: list[float]) -> float:
+    """Sup over k of |probs[k] - gauss[k]|: a row profile against its Gaussian row."""
+    return max(abs(p - g) for p, g in zip(probs, gauss, strict=True))
 
 
 def row_sup_error(n: int, kind: str) -> float:
@@ -128,22 +132,22 @@ def row_sup_error(n: int, kind: str) -> float:
     """
     _check_row_index(n, minimum=1)
     if kind == "classical":
-        probs = [binomial_pmf(n, k) for k in range(n + 1)]
+        row = classical_row(n)
     elif kind == "quantum":
-        probs = [abs(a) ** 2 for a in qtpt_row(n).values]
+        row = qtpt_row(n)
     else:
         raise ValueError(f"kind must be 'classical' or 'quantum', got {kind!r}")
-    return sup_error(probs)
+    return sup_error(row.probs, gaussian_approx_row(n))
 
 
 def row_csv(row: TriangleRow) -> str:
-    """CSV text for one row: k,count,pmf (classical) or k,re,im,modulus2 (quantum)."""
+    """CSV text for one row's values and profile: k,count,pmf or k,re,im,modulus2."""
     if row.kind == "classical":
         lines = ["k,count,pmf"]
-        for k, c in enumerate(row.values):
-            lines.append(f"{k},{c},{c / (1 << row.n)!r}")
+        for k, (c, p) in enumerate(zip(row.values, row.probs)):
+            lines.append(f"{k},{c},{p!r}")
     else:
         lines = ["k,re,im,modulus2"]
-        for k, a in enumerate(row.values):
-            lines.append(f"{k},{a.real!r},{a.imag!r},{abs(a) ** 2!r}")
+        for k, (a, p) in enumerate(zip(row.values, row.probs)):
+            lines.append(f"{k},{a.real!r},{a.imag!r},{p!r}")
     return "\n".join(lines) + "\n"

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from parcelwalk import triangle
 from parcelwalk.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -13,6 +14,7 @@ from parcelwalk.cli import (
     load_config_file,
     main,
 )
+from parcelwalk.triangle import gaussian_approx_row
 
 FAST_FIG3 = ["--seed", "1", "--trials", "2000", "--steps", "50", "--bins", "30"]
 
@@ -84,11 +86,11 @@ def test_fig3_reports_a_size_too_large_for_memory_as_usage_error(tmp_path, capsy
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_fig3_failing_before_its_first_file_leaves_the_output_directory_empty(tmp_path):
+def test_fig3_failing_before_its_first_file_creates_no_output_directory(tmp_path):
     out = tmp_path / "x"
     args = ["fig3", "--trials", "100", "--steps", "1", "--bins", "100000000000"]
     assert main([*args, "--out", str(out)]) == EXIT_USAGE
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_fig3_statistical_failure_exit_code(tmp_path):
@@ -195,6 +197,19 @@ def test_triangle_both_emits_two_kinds(tmp_path):
     assert (out / "rows" / "quantum_n0003.csv").exists()
     header = (out / "sup_error.csv").read_text().splitlines()[0]
     assert header == "n,classical_sup_error,quantum_sup_error"
+
+
+def test_triangle_builds_one_gaussian_row_per_n(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return gaussian_approx_row(n)
+
+    monkeypatch.setattr(triangle, "gaussian_approx_row", counted)
+    out = tmp_path / "tri"
+    assert main(["triangle", "--n-max", "12", "--kind", "both", "--out", str(out)]) == EXIT_OK
+    assert calls == list(range(1, 13))
 
 
 def test_triangle_range_guard(tmp_path):

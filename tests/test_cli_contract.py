@@ -53,6 +53,9 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     ["kernels", "--diffusion", "inf"],
     ["kernels", "--diffusion", "nan"],
     ["kernels", "--mass", "inf"],
+    ["fig3", "--seed", str(2**64), "--trials", "100", "--steps", "4"],
+    ["fig3", "--trials", "100000000000", "--steps", "4"],
+    ["fig3", "--trials", "100", "--steps", "1", "--horizon", "1e308"],
 ])
 def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
     out = tmp_path / "run"

@@ -7,7 +7,6 @@ from parcelwalk.clifford import (
     dirac_symbol_square,
     element,
     gamma_basis,
-    mul,
     pauli_basis,
     pauli_coefficients,
     scalar_decompose,
@@ -19,7 +18,7 @@ ZERO = np.zeros((2, 2), dtype=np.complex128)
 
 def test_pauli_squares_are_identity_exactly():
     for s in (S1, S2, S3):
-        assert np.array_equal(mul(s, s), I)
+        assert np.array_equal(s @ s, I)
 
 
 def test_pauli_anticommutators_vanish_exactly():
@@ -29,7 +28,7 @@ def test_pauli_anticommutators_vanish_exactly():
 
 
 def test_sigma1_sigma2_is_i_sigma3():
-    assert np.array_equal(mul(S1, S2), 1j * S3)
+    assert np.array_equal(S1 @ S2, 1j * S3)
 
 
 def test_sigma3_is_diagonal_plus_minus_one():
@@ -39,12 +38,12 @@ def test_sigma3_is_diagonal_plus_minus_one():
 def test_paulis_self_adjoint_and_unitary():
     for s in (S1, S2, S3):
         assert np.array_equal(adjoint(s), s)
-        assert np.array_equal(mul(adjoint(s), s), I)
+        assert np.array_equal(adjoint(s) @ s, I)
 
 
 def test_identity_is_multiplicative_unit():
-    assert np.array_equal(mul(I, S1), S1)
-    assert np.array_equal(mul(S1, I), S1)
+    assert np.array_equal(I @ S1, S1)
+    assert np.array_equal(S1 @ I, S1)
 
 
 def test_commutator_examples():
@@ -61,7 +60,7 @@ def test_gamma_basis_is_independent_instance_with_same_relations():
     gi, g1, g2, g3 = gamma_basis()
     assert np.array_equal(gi, I) and gi is not I
     for g in (g1, g2, g3):
-        assert np.array_equal(mul(g, g), I)
+        assert np.array_equal(g @ g, I)
     assert np.array_equal(bracket("anticommutator", g1, g2), ZERO)
 
 
@@ -87,8 +86,8 @@ def test_adjoint_reverses_products():
     for _ in range(50):
         a = element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
         b = element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        lhs = adjoint(mul(a, b))
-        rhs = mul(adjoint(b), adjoint(a))
+        lhs = adjoint(a @ b)
+        rhs = adjoint(b) @ adjoint(a)
         assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -102,7 +101,7 @@ def test_mul_associativity_spot_check():
     rng = np.random.default_rng(9)
     a, b, c = (element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
                for _ in range(3))
-    assert np.abs(mul(mul(a, b), c) - mul(a, mul(b, c))).max() <= 1e-12
+    assert np.abs((a @ b) @ c - a @ (b @ c)).max() <= 1e-12
 
 
 def test_element_validates_shape_and_finiteness():

@@ -15,7 +15,9 @@ from parcelwalk.cli import _linspace
 from parcelwalk.clifford import pauli_basis, scalar_decompose
 from parcelwalk.geometry import sphere_map, sphere_map_square
 from parcelwalk.triangle import (
+    binomial_pmf,
     classical_row,
+    gaussian_approx_row,
     next_classical_row,
     qtpt_amplitude,
     qtpt_row,
@@ -136,16 +138,28 @@ def test_pascal_rows_equal_math_comb_rows():
 def test_row_from_counts_matches_each_amplitude(n):
     expected = [(a.real.hex(), a.imag.hex()) for a in
                 (qtpt_amplitude(n, k) for k in range(n + 1))]
-    for row in (qtpt_row(n), qtpt_row(n, classical_row(n).values)):
+    moduli = [(abs(qtpt_amplitude(n, k)) ** 2).hex() for k in range(n + 1)]
+    for row in (qtpt_row(n), qtpt_row(n, classical_row(n))):
         assert [(a.real.hex(), a.imag.hex()) for a in row.values] == expected
-    with pytest.raises(ValueError):
-        qtpt_row(n, [1] * n)
+        assert [p.hex() for p in row.probs] == moduli
+
+
+@pytest.mark.parametrize("n", [1, 2, 17])
+def test_row_from_a_wrong_classical_row_is_refused(n):
+    for wrong in (classical_row(n - 1), classical_row(n + 1), qtpt_row(n)):
+        with pytest.raises(ValueError):
+            qtpt_row(n, wrong)
 
 
 def test_pmf_from_counts_and_sup_error_core():
     n = 300
-    counts = classical_row(n).values
-    probs = [c / (1 << n) for c in counts]
-    assert probs == [math.comb(n, k) / 2**n for k in range(n + 1)]
-    assert sup_error(probs) == row_sup_error(n, "classical")
-    assert sup_error([abs(a) ** 2 for a in qtpt_row(n).values]) == row_sup_error(n, "quantum")
+    row = classical_row(n)
+    probs = [math.comb(n, k) / 2**n for k in range(n + 1)]
+    assert [p.hex() for p in row.probs] == [p.hex() for p in probs]
+    assert [p.hex() for p in row.probs] == [binomial_pmf(n, k).hex() for k in range(n + 1)]
+    gauss = gaussian_approx_row(n)
+    assert sup_error(row.probs, gauss) == row_sup_error(n, "classical")
+    moduli = [abs(a) ** 2 for a in qtpt_row(n, row).values]
+    assert sup_error(moduli, gauss) == row_sup_error(n, "quantum")
+    with pytest.raises(ValueError):
+        sup_error(row.probs, gauss[:-1])

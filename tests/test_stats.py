@@ -80,6 +80,26 @@ def test_gaussian_fit_needs_two_samples():
         gaussian_fit([1.0])
 
 
+@pytest.mark.parametrize("scale", [1e-60, 1e-80, 1e-160, 1e-200])
+def test_report_shape_moments_do_not_depend_on_a_tiny_scale(scale):
+    x = np.random.default_rng(1).standard_normal(500)
+    unit = stats_report(x, std_normal_cdf, 0.01)
+    tiny = stats_report(x * scale, std_normal_cdf, 0.01)
+    assert tiny.skewness == pytest.approx(unit.skewness, rel=1e-12)
+    assert tiny.excess_kurtosis == pytest.approx(unit.excess_kurtosis, rel=1e-12)
+
+
+# fig3 records its Gaussian fits from its KS reports' moments; they must be
+# gaussian_fit's values bit for bit.
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, st.integers(20, 3000),
+              elements=st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)))
+def test_report_moments_equal_gaussian_fit(samples):
+    report = stats_report(samples, lambda x: np.clip(x, 0.0, 1.0), 0.01)
+    mu, sigma = gaussian_fit(samples)
+    assert (report.mean, math.sqrt(report.variance)) == (mu, sigma)
+
+
 def test_gaussian_fit_affine_equivariance():
     rng = np.random.default_rng(30)
     x = rng.standard_normal(300)

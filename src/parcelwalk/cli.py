@@ -6,14 +6,14 @@ comparison), ``triangle`` (row dumps and Gaussian-convergence tables),
 (grid dumps and the imaginary-time identity residual).
 
 Each subcommand validates its flags, computes, and writes through one
-``_RunDir``.  It owns the output directory: it removes an old run's
-``manifest.json`` right before the first artifact is opened and writes the
-new one last, with the resolved configuration and a sha256 per artifact
-keyed by bare file name, so a failed rerun leaves no stale manifest.  It
-also maps the verdict to the exit code.  Re-running with the same
-configuration reproduces the artifacts byte for byte.  JSON artifacts are
-strict: a non-finite value is an error, and the file that would hold it is
-not written.  Exit codes:
+``_RunDir``.  It owns the output directory: it stages every artifact inside
+it and, once the run has finished, moves them into place with
+``manifest.json`` last, which holds the resolved configuration and a sha256
+per artifact keyed by bare file name.  A run that fails anywhere before
+that leaves the directory as it was.  It also maps the verdict to the exit
+code.  Re-running with the same configuration reproduces the artifacts byte
+for byte.  JSON artifacts are strict: a non-finite value is an error.  Exit
+codes:
 0 success, 1 usage (a non-finite result, or a size too large for memory,
 included), 2 statistical failure, 3 I/O failure (a failed ``fig3`` worker
 process included).
@@ -28,10 +28,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass, fields
 from itertools import starmap
 from pathlib import Path
@@ -198,28 +199,41 @@ def _json_text(name: str, payload: dict) -> str:
 class _RunDir:
     """The output directory of one run: it owns the artifacts, the manifest and the exit code.
 
-    The first artifact path handed out removes an old run's ``manifest.json``
-    and ``finish`` writes the new one last, so the directory never holds a
-    manifest whose checksums do not match its files.  A run refused before
-    its first artifact leaves the old run's files as they were.  Manifest
+    ``with _RunDir(out) as run:`` stages every artifact in a private
+    ``.staging-*`` directory inside ``out``; ``finish`` checksums the staged
+    files, then moves them into ``out`` with ``manifest.json`` last, after
+    the old manifest is gone, so ``out`` never holds a manifest whose
+    checksums do not match its files.  A run that fails before ``finish``
+    leaves ``out`` as it was, and none at all if it did not exist.  Manifest
     keys are bare file names (those in ``rows/`` too): the benchmark gate
     looks them up so.
     """
 
     def __init__(self, out: str, *subdirs: str) -> None:
         self.dir = Path(out)
+        self.subdirs = subdirs
+        self.names: list[str] = []
+
+    def __enter__(self) -> _RunDir:
+        self.created = not self.dir.exists()
         self.dir.mkdir(parents=True, exist_ok=True)
-        for sub in subdirs:
-            (self.dir / sub).mkdir(exist_ok=True)
-        self.artifacts: list[Path] = []
+        # Inside ``out``, so that every move in ``finish`` stays on one filesystem.
+        self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.dir))
+        for sub in self.subdirs:
+            (self.staging / sub).mkdir()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        # A forked worker leaves through os._exit and never gets here.
+        shutil.rmtree(self.staging, ignore_errors=True)
+        if self.created:
+            with suppress(OSError):  # not empty: this run finished
+                self.dir.rmdir()
 
     def path(self, name: str) -> Path:
-        """Path of the artifact ``name`` (relative to the directory), to be written next."""
-        if not self.artifacts:
-            (self.dir / "manifest.json").unlink(missing_ok=True)
-        path = self.dir / name
-        self.artifacts.append(path)
-        return path
+        """Staged path of the artifact ``name`` (relative to the directory), to be written next."""
+        self.names.append(name)
+        return self.staging / name
 
     def write_text(self, name: str, text: str) -> None:
         self.path(name).write_text(text, encoding="utf-8")
@@ -228,21 +242,24 @@ class _RunDir:
         self.write_text(name, _json_text(name, payload))
 
     def finish(self, command: str, config: dict, passed: bool) -> int:
-        """Write ``manifest.json`` last; return the exit code of the verdict ``passed``."""
+        """Move the artifacts into place, manifest last; return the exit code of ``passed``."""
         artifacts = {}
-        for path in self.artifacts:
-            data = path.read_bytes()
-            artifacts[path.name] = {"sha256": hashlib.sha256(data).hexdigest(),
-                                    "bytes": len(data)}
+        for name in self.names:
+            data = (self.staging / name).read_bytes()
+            artifacts[Path(name).name] = {"sha256": hashlib.sha256(data).hexdigest(),
+                                          "bytes": len(data)}
         canonical = json.dumps(config, sort_keys=True).encode("utf-8")
-        manifest = {
+        self.write_json("manifest.json", {
             "command": command,
             "config": config,
             "config_hash": hashlib.sha256(canonical).hexdigest(),
             "artifacts": artifacts,
-        }
-        (self.dir / "manifest.json").write_text(_json_text("manifest.json", manifest),
-                                                encoding="utf-8")
+        })
+        for sub in self.subdirs:
+            (self.dir / sub).mkdir(exist_ok=True)
+        (self.dir / "manifest.json").unlink(missing_ok=True)
+        for name in self.names:
+            os.replace(self.staging / name, self.dir / name)
         return EXIT_OK if passed else EXIT_STAT
 
 
@@ -309,12 +326,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     summary = stochastic.stream_endpoint_statistics(
         config.seed, config.trials, config.steps, config.horizon_T
     )
-    endpoints = summary.brownian_endpoints
-    with np.errstate(over="ignore"):
-        scale = endpoints.std()
-    if not (scale > 0.0 and math.isfinite(scale)):
-        raise UsageError(f"degenerate ensemble: endpoint spread is {scale}")
-    brownian_scaled = (endpoints - endpoints.mean()) / scale
+    brownian_scaled = summary.brownian_scaled
     real_ch, imag_ch = summary.real_channel, summary.imag_channel
     max_step, max_path = summary.max_step_residual, summary.max_path_residual
 
@@ -343,42 +355,33 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         "alpha": config.alpha,
         "passed": two.passes(config.alpha),
     })
-
-    # Every result is built before the output directory is made, so a run
-    # that fails here (a histogram too large for memory, a non-finite value in
-    # the verdict) leaves ``--out`` as it was.
-    hists = {name: stats.histogram_build(samples, config.n_bins, _STANDARD_RANGE)
-             for name, samples in named}
+    all_passed = all(c["passed"] for c in checks)
 
     curve_x = np.linspace(*_STANDARD_RANGE, 181)
     curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
     series = [("standard normal", "black", curve_x, curve_y)]
-    for (name, _), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
-        hist = hists[name]
-        centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
-        series.append((name.replace("_", " "), color, centers, hist.densities()))
-    svg_text = _overlay_svg(series, "Brownian kernel vs rotated square-root channels")
-
-    all_passed = all(c["passed"] for c in checks)
-    verdict_text = _json_text("verdict.json", {
-        "checks": checks,
-        "all_passed": all_passed,
-        "square_identity": {"max_step_residual": max_step, "max_path_residual": max_path},
-        "gaussian_fits": fits,
-        "channel_reports": reports,
-    })
-
-    run = _RunDir(config.output_dir)
-    _write_trial_csv(run.path("endpoints.csv"),
-                     ["trial", "brownian_scaled", "real_channel", "imag_channel"],
-                     [brownian_scaled, real_ch, imag_ch])
-    for name, hist in hists.items():
-        edges = hist.edges.tolist()
-        _write_csv(run.path(f"hist_{name}.csv"), ["bin_lo", "bin_hi", "count", "density"],
-                   zip(edges[:-1], edges[1:], hist.counts.tolist(), hist.densities().tolist()))
-    run.write_text("fig3_overlay.svg", svg_text)
-    run.write_text("verdict.json", verdict_text)
-    return run.finish("fig3", asdict(config), all_passed)
+    with _RunDir(config.output_dir) as run:
+        _write_trial_csv(run.path("endpoints.csv"),
+                         ["trial", "brownian_scaled", "real_channel", "imag_channel"],
+                         [brownian_scaled, real_ch, imag_ch])
+        for (name, samples), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
+            hist = stats.histogram_build(samples, config.n_bins, _STANDARD_RANGE)
+            edges = hist.edges.tolist()
+            _write_csv(run.path(f"hist_{name}.csv"), ["bin_lo", "bin_hi", "count", "density"],
+                       zip(edges[:-1], edges[1:], hist.counts.tolist(),
+                           hist.densities().tolist()))
+            centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
+            series.append((name.replace("_", " "), color, centers, hist.densities()))
+        run.write_text("fig3_overlay.svg",
+                       _overlay_svg(series, "Brownian kernel vs rotated square-root channels"))
+        run.write_json("verdict.json", {
+            "checks": checks,
+            "all_passed": all_passed,
+            "square_identity": {"max_step_residual": max_step, "max_path_residual": max_path},
+            "gaussian_fits": fits,
+            "channel_reports": reports,
+        })
+        return run.finish("fig3", asdict(config), all_passed)
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
@@ -391,52 +394,49 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     n_max, kind = args.n_max, args.kind
     if not 1 <= n_max <= triangle.MAX_ROW:
         raise UsageError(f"n_max must be in [1, {triangle.MAX_ROW}], got {n_max}")
-    run = _RunDir(args.out, "rows")
-
-    def dump(row: triangle.TriangleRow) -> None:
-        run.write_text(f"rows/{row.kind}_n{row.n:04d}.csv", triangle.row_csv(row))
-
     kinds = ["classical", "quantum"] if kind == "both" else [kind]
-    classical = triangle.classical_row(0)
-    if "classical" in kinds:
-        dump(classical)
-    max_residual = 0.0
-    residual_rows = []
-    sup_rows = []
-    for n in range(1, n_max + 1):
-        classical = triangle.next_classical_row(classical)
-        rows = {"classical": classical}
+    with _RunDir(args.out, "rows") as run:
+        def dump(row: triangle.TriangleRow) -> None:
+            run.write_text(f"rows/{row.kind}_n{row.n:04d}.csv", triangle.row_csv(row))
+
+        classical = triangle.classical_row(0)
         if "classical" in kinds:
             dump(classical)
+        max_residual = 0.0
+        residual_rows = []
+        sup_rows = []
+        for n in range(1, n_max + 1):
+            classical = triangle.next_classical_row(classical)
+            rows = {"classical": classical}
+            if "classical" in kinds:
+                dump(classical)
+            if "quantum" in kinds:
+                quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
+                dump(quantum)
+                residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
+                residual_rows.append((n, residual))
+                max_residual = max(max_residual, residual)
+            gauss = triangle.gaussian_approx_row(n)
+            sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss) for which in kinds)))
+
         if "quantum" in kinds:
-            quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
-            dump(quantum)
-            residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
-            residual_rows.append((n, residual))
-            max_residual = max(max_residual, residual)
-        gauss = triangle.gaussian_approx_row(n)
-        sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss) for which in kinds)))
+            _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
+        _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
 
-    if "quantum" in kinds:
-        _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
-    _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
-
-    passed = max_residual <= 1e-10
-    run.write_json("verdict.json", {
-        "n_max": n_max,
-        "kind": kind,
-        "max_modulus_residual": max_residual,
-        "passed": passed,
-    })
-    return run.finish("triangle", _flags(args), passed)
+        passed = max_residual <= 1e-10
+        run.write_json("verdict.json", {
+            "n_max": n_max,
+            "kind": kind,
+            "max_modulus_residual": max_residual,
+            "passed": passed,
+        })
+        return run.finish("triangle", _flags(args), passed)
 
 
 def cmd_geometry(args: argparse.Namespace) -> int:
     """JSON quantization reports for the circle, oscillator, and sphere checks.
 
-    Every flag is checked before anything is computed, and the report is
-    built before the output directory is made, so a refused run leaves
-    ``--out`` as it was.
+    Every flag is checked before anything is computed.
     """
     import numpy as np
 
@@ -527,11 +527,9 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         }
         all_passed &= passed
 
-    report_text = _json_text("geometry_report.json",
-                             {"sections": sections, "all_passed": all_passed})
-    run = _RunDir(args.out)
-    run.write_text("geometry_report.json", report_text)
-    return run.finish("geometry", _flags(args), all_passed)
+    with _RunDir(args.out) as run:
+        run.write_json("geometry_report.json", {"sections": sections, "all_passed": all_passed})
+        return run.finish("geometry", _flags(args), all_passed)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -555,32 +553,25 @@ _KERNEL_GRID = {"n_x": 40, "n_t": 25}
 
 
 def cmd_kernels(args: argparse.Namespace) -> int:
-    """Kernel grid dumps plus the imaginary-time identity residual.
-
-    The residual (with its ``D = hbar/(2m)`` check) and the verdict are
-    computed before the first file is written, so a refused run leaves
-    ``--out`` as it was.
-    """
+    """Kernel grid dumps plus the imaginary-time identity residual."""
     spec = kernels.KernelSpec(diffusion_D=args.diffusion, hbar=args.hbar, mass_m=args.mass)
     xs = _linspace(-4.0, 4.0, _KERNEL_GRID["n_x"])
     ts = _linspace(0.1, 2.5, _KERNEL_GRID["n_t"])
     grid = [(x, t) for t in ts for x in xs]
-    residual = kernels.wick_identity_residual(spec, spec, grid)
-    passed = residual <= 1e-12
-    verdict_text = _json_text("verdict.json", {
-        "grid_points": len(grid),
-        "wick_identity_residual": residual,
-        "passed": passed,
-    })
-
-    run = _RunDir(args.out)
-    _write_csv(run.path("heat_kernel_grid.csv"), ["x", "t", "re", "im"],
-               ((x, t, kernels.heat_kernel(spec, x, t), 0.0) for x, t in grid))
-    schrod_values = [(x, t, kernels.schrodinger_kernel(spec, x, t)) for x, t in grid]
-    _write_csv(run.path("schrodinger_kernel_grid.csv"), ["x", "t", "re", "im"],
-               ((x, t, value.real, value.imag) for x, t, value in schrod_values))
-    run.write_text("verdict.json", verdict_text)
-    return run.finish("kernels", {**_flags(args), **_KERNEL_GRID}, passed)
+    with _RunDir(args.out) as run:
+        _write_csv(run.path("heat_kernel_grid.csv"), ["x", "t", "re", "im"],
+                   ((x, t, kernels.heat_kernel(spec, x, t), 0.0) for x, t in grid))
+        schrod_values = [(x, t, kernels.schrodinger_kernel(spec, x, t)) for x, t in grid]
+        _write_csv(run.path("schrodinger_kernel_grid.csv"), ["x", "t", "re", "im"],
+                   ((x, t, value.real, value.imag) for x, t, value in schrod_values))
+        residual = kernels.wick_identity_residual(spec, spec, grid)
+        passed = residual <= 1e-12
+        run.write_json("verdict.json", {
+            "grid_points": len(grid),
+            "wick_identity_residual": residual,
+            "passed": passed,
+        })
+        return run.finish("kernels", {**_flags(args), **_KERNEL_GRID}, passed)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ every distributional check here runs in (c(0.05) = 1.358, c(0.01) = 1.628).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -148,15 +148,7 @@ class StatsReport:
     verdict: str  # "pass" | "fail"
 
     def to_dict(self) -> dict:
-        return {
-            "mean": self.mean,
-            "variance": self.variance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "ks_statistic": self.ks_statistic,
-            "ks_threshold": self.ks_threshold,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def stats_report(samples, reference_cdf, alpha: float) -> StatsReport:

@@ -81,6 +81,7 @@ class EndpointStatistics:
     """Per-trial summaries of one seeded ensemble: everything ``fig3`` reads from it."""
 
     brownian_endpoints: np.ndarray  # W_T per trial
+    brownian_scaled: np.ndarray     # W_T standardized
     real_channel: np.ndarray        # standardized channels of the Wick-rotated
     imag_channel: np.ndarray        # square-root endpoints
     max_step_residual: float        # see square_identity_residuals
@@ -297,9 +298,9 @@ def _reduce_blocks(blocks, w_T: np.ndarray, endpoints: np.ndarray) -> tuple[floa
     return float(max_step), float(max_path)
 
 
-def _reduce_ensemble(ensemble: PathEnsemble, chunk: int | None):
-    """``(endpoints, max_step, max_path)`` of a materialised ensemble, ``chunk`` rows at a time."""
-    rows = chunk or _block_rows(ensemble.steps)
+def _reduce_ensemble(ensemble: PathEnsemble):
+    """``(endpoints, max_step, max_path)`` of a materialised ensemble, block by block."""
+    rows = _block_rows(ensemble.steps)
     blocks = ((lo, ensemble.increments[lo:lo + rows]) for lo in range(0, ensemble.trials, rows))
     endpoints = np.empty(ensemble.trials, dtype=np.complex128)
     max_step, max_path = _reduce_blocks(blocks, np.empty(ensemble.trials), endpoints)
@@ -418,42 +419,41 @@ def _check_statistics_trials(trials: int) -> None:
         raise ValueError(f"endpoint statistics need >= 100 trials, got {trials}")
 
 
+def _standardize(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` centered and scaled by their population standard deviation."""
+    with np.errstate(over="ignore"):
+        sigma = values.std()
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"degenerate ensemble: {what} spread is {sigma}")
+    return (values - values.mean()) / sigma
+
+
 def _standard_channels(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rotated = endpoints * WICK_FACTOR
-    channels = []
-    for values in (rotated.real, rotated.imag):
-        with np.errstate(over="ignore"):
-            sigma = values.std()
-        if not (sigma > 0.0 and math.isfinite(sigma)):
-            raise ValueError(f"degenerate ensemble: channel spread is {sigma}")
-        channels.append((values - values.mean()) / sigma)
-    return channels[0], channels[1]
+    rotated = wick_rotate_samples(endpoints)
+    return _standardize(rotated.real, "channel"), _standardize(rotated.imag, "channel")
 
 
-def sqrt_endpoint_statistics(ensemble: PathEnsemble,
-                             chunk: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_endpoint_statistics(ensemble: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
     """Wick-rotated square-root endpoints, split into centered unit-variance channels.
 
     Per trial: sum the square-root increments, rotate by exp(-i pi/4), and
     split into real and imaginary parts.  Each channel is then centered and
     scaled by its population standard deviation (the raw sums carry a
     positive drift from E|dW|**(1/2) that the rotation does not remove).
-    ``chunk`` rows are reduced at a time; the result does not depend on it.
     """
     _check_statistics_trials(ensemble.trials)
-    endpoints, _, _ = _reduce_ensemble(ensemble, chunk)
+    endpoints, _, _ = _reduce_ensemble(ensemble)
     return _standard_channels(endpoints)
 
 
-def square_identity_residuals(ensemble: PathEnsemble,
-                              chunk: int | None = None) -> tuple[float, float]:
+def square_identity_residuals(ensemble: PathEnsemble) -> tuple[float, float]:
     """Worst-case defect of the defining identity over the whole ensemble.
 
     Returns ``(max_step, max_path)``: the max per-step value of
     |(dY)**2 - dW| / max(1, |dW|) and the max per-path value of
     |sum (dY)**2 - W_T|.  A NaN anywhere in the ensemble makes both NaN.
     """
-    _, max_step, max_path = _reduce_ensemble(ensemble, chunk)
+    _, max_step, max_path = _reduce_ensemble(ensemble)
     return max_step, max_path
 
 
@@ -471,9 +471,10 @@ def stream_endpoint_statistics(seed: int, trials: int, steps: int,
     _check_statistics_trials(trials)
     w_T, endpoints, max_step, max_path = _stream_in_ranges(seed, trials, steps, horizon_T)
     real_channel, imag_channel = _standard_channels(endpoints)
-    return EndpointStatistics(brownian_endpoints=w_T, real_channel=real_channel,
-                              imag_channel=imag_channel, max_step_residual=max_step,
-                              max_path_residual=max_path)
+    return EndpointStatistics(brownian_endpoints=w_T,
+                              brownian_scaled=_standardize(w_T, "endpoint"),
+                              real_channel=real_channel, imag_channel=imag_channel,
+                              max_step_residual=max_step, max_path_residual=max_path)
 
 
 def sphere_sqrt_step(params: SphereStepParams, dU1: float, dU2: float,

@@ -77,16 +77,16 @@ def test_block_source_matches_fresh_generator_per_trial(seed, first_trial, n_tri
 
 
 # 1001 x 129, 3001 x 129 and 700 x 1000 span several blocks with a partial
-# last one; 150 x 1 is one partial block.  chunk re-partitions the ensemble side.
-@pytest.mark.parametrize("trials, steps, chunk", [
-    (1001, 129, None), (3001, 129, 37), (700, 1000, None), (150, 1, 7),
-])
-def test_streaming_matches_materialised_ensemble_bit_for_bit(trials, steps, chunk):
+# last one; 150 x 1 is one partial block.
+@pytest.mark.parametrize("trials, steps", [(1001, 129), (3001, 129), (700, 1000), (150, 1)])
+def test_streaming_matches_materialised_ensemble_bit_for_bit(trials, steps):
     streamed = stream_endpoint_statistics(11, trials, steps, 2.0)
     ensemble = brownian_increments(11, trials, steps, 2.0)
-    real_ch, imag_ch = sqrt_endpoint_statistics(ensemble, chunk=chunk)
-    residuals = square_identity_residuals(ensemble, chunk=chunk)
-    assert streamed.brownian_endpoints.tobytes() == ensemble.increments.sum(axis=1).tobytes()
+    real_ch, imag_ch = sqrt_endpoint_statistics(ensemble)
+    residuals = square_identity_residuals(ensemble)
+    w_T = ensemble.increments.sum(axis=1)
+    assert streamed.brownian_endpoints.tobytes() == w_T.tobytes()
+    assert streamed.brownian_scaled.tobytes() == ((w_T - w_T.mean()) / w_T.std()).tobytes()
     assert streamed.real_channel.tobytes() == real_ch.tobytes()
     assert streamed.imag_channel.tobytes() == imag_ch.tobytes()
     assert (streamed.max_step_residual, streamed.max_path_residual) == residuals
@@ -96,7 +96,7 @@ def test_streaming_one_partial_block_matches_materialised_ensemble():
     steps = 129
     trials = stochastic._block_rows(steps) - 3  # rows of 129 steps fill no whole block
     assert trials >= 100  # the streaming minimum
-    test_streaming_matches_materialised_ensemble_bit_for_bit(trials, steps, None)
+    test_streaming_matches_materialised_ensemble_bit_for_bit(trials, steps)
 
 
 def test_wrong_parcel_map_fails_square_identity():

@@ -197,7 +197,7 @@ def test_failed_formatting_worker_exits_3_leaving_only_endpoints_csv(tmp_path, m
     fail_formatting(monkeypatch, how)
     out = tmp_path / "run"
     assert main([*FIG3_ARGS, "--out", str(out)]) == EXIT_IO
-    assert [path.name for path in out.iterdir()] == ["endpoints.csv"]
+    assert not out.exists()
     assert "worker" in capsys.readouterr().err
 
 

@@ -1,9 +1,11 @@
-"""A rerun into an existing run directory never leaves a stale manifest behind.
+"""A run that fails leaves its output directory exactly as it was.
 
-A run removes the old ``manifest.json`` right before it writes its first
-artifact and writes the new one last, so after any rerun, failed or not,
-the directory holds either no manifest or one whose every entry matches its
-file.  A forked ``fig3`` worker that fails prints its traceback to stderr.
+Every artifact is staged in a ``.staging-*`` directory inside ``--out`` and
+moved into place only when the run finishes, ``manifest.json`` last.  So a
+failed rerun keeps the old run byte for byte, manifest included; a failed
+first run makes no ``--out``; a file of the user's in ``--out`` survives
+every run; and no run, finished or failed, leaves a staging directory
+behind.  A forked ``fig3`` worker that fails prints its traceback to stderr.
 """
 import hashlib
 import json
@@ -11,10 +13,11 @@ import os
 
 import pytest
 
-from parcelwalk import cli, stochastic
+from parcelwalk import cli, stochastic, triangle
 from parcelwalk.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 FIG3_ARGS = ["fig3", "--seed", "7", "--trials", "300", "--steps", "16"]
+TRIANGLE_ARGS = ["triangle", "--n-max", "9"]
 KERNELS_MISMATCH = ["kernels", "--diffusion", "0.25", "--hbar", "2", "--mass", "3"]
 
 
@@ -86,3 +89,90 @@ def test_failed_worker_traceback_reaches_stderr(tmp_path, monkeypatch, capfd):
     err = capfd.readouterr().err
     assert "RuntimeError: planted failure in a formatting worker" in err
     assert "1 fig3 worker(s) failed" in err
+
+
+def fail_at_row_7(monkeypatch):
+    qtpt_row = triangle.qtpt_row
+
+    def failing_row(n, classical):
+        if n == 7:
+            raise OSError("planted failure at row 7")
+        return qtpt_row(n, classical)
+
+    monkeypatch.setattr(triangle, "qtpt_row", failing_row)
+
+
+def fail_at_the_manifest(monkeypatch):
+    """Fail at the last point before the files move into place: every artifact is staged."""
+    json_text = cli._json_text
+
+    def failing_json_text(name, payload):
+        if name == "manifest.json":
+            raise OSError("planted failure at the manifest")
+        return json_text(name, payload)
+
+    monkeypatch.setattr(cli, "_json_text", failing_json_text)
+
+
+GEOMETRY_ARGS = ["geometry", "--circle-n", "8", "--sphere-samples", "10"]
+FAILED_RUNS = pytest.mark.parametrize("args, plant", [
+    (FIG3_ARGS, fail_in_formatting_worker),
+    (TRIANGLE_ARGS, fail_at_row_7),
+    (FIG3_ARGS, fail_at_the_manifest),
+    (TRIANGLE_ARGS, fail_at_the_manifest),
+    (GEOMETRY_ARGS, fail_at_the_manifest),
+    (["kernels"], fail_at_the_manifest),
+], ids=["fig3-worker", "triangle-row-7", "fig3-manifest", "triangle-manifest",
+        "geometry-manifest", "kernels-manifest"])
+
+
+def snapshot(out):
+    """Every entry under ``out``, hidden ones included, with the bytes of each file."""
+    return {str(p.relative_to(out)): p.read_bytes() if p.is_file() else None
+            for p in out.rglob("*")}
+
+
+@FAILED_RUNS
+def test_failed_rerun_leaves_the_old_run_byte_identical(tmp_path, monkeypatch, args, plant):
+    out = tmp_path / "run"
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    before = snapshot(out)
+    assert "manifest.json" in before
+    plant(monkeypatch)
+    assert main([*args, "--out", str(out)]) == EXIT_IO
+    assert snapshot(out) == before
+
+
+@FAILED_RUNS
+def test_failed_first_run_makes_no_output_directory(tmp_path, monkeypatch, args, plant):
+    out = tmp_path / "run"
+    plant(monkeypatch)
+    assert main([*args, "--out", str(out)]) == EXIT_IO
+    assert not out.exists()
+
+
+def test_a_users_file_in_out_survives_finished_and_failed_runs(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    notes = out / "notes.txt"
+    notes.write_text("kept\n", encoding="utf-8")
+    assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_OK
+    assert notes.read_text(encoding="utf-8") == "kept\n"
+    fail_at_row_7(monkeypatch)
+    assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_IO
+    assert notes.read_text(encoding="utf-8") == "kept\n"
+    assert_manifest_absent_or_current(out)
+    assert (out / "manifest.json").exists()
+
+
+def test_no_staging_directory_is_left_behind(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_OK
+    assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_OK
+    assert not list(out.rglob(".staging-*"))
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "modulus_residuals.csv", "rows", "sup_error.csv", "verdict.json"]
+    fail_at_row_7(monkeypatch)
+    assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_IO
+    assert not list(out.rglob(".staging-*"))
+    assert_manifest_absent_or_current(out)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from parcelwalk import stochastic
 from parcelwalk.clifford import gamma_basis, pauli_coefficients
 from parcelwalk.stats import ks_one_sample, ks_two_sample, std_normal_cdf
 from parcelwalk.stochastic import (
@@ -135,13 +136,6 @@ def test_endpoint_channels_centered_and_scaled():
         assert abs(ch.var() - 1.0) <= 1e-12
 
 
-def test_endpoint_statistics_chunk_invariance():
-    ensemble = brownian_increments(3, 500, 64, 1.0)
-    a = sqrt_endpoint_statistics(ensemble, chunk=37)
-    b = sqrt_endpoint_statistics(ensemble, chunk=10**9)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
 def test_endpoint_statistics_guards():
     with pytest.raises(ValueError):
         sqrt_endpoint_statistics(brownian_increments(3, 99, 8, 1.0))
@@ -166,12 +160,14 @@ def test_square_identity_residuals_small_ensemble():
 
 @pytest.mark.parametrize("row", [0, 39])
 def test_square_identity_residuals_propagate_nan(row):
-    increments = brownian_increments(19, 40, 8, 1.0).increments
-    increments[row, 3] = np.nan
-    ensemble = PathEnsemble(seed=19, trials=40, steps=8, horizon_T=1.0,
-                            increments=increments)
-    for chunk in (None, 1):
-        max_step, max_path = square_identity_residuals(ensemble, chunk=chunk)
+    # 8 steps put every row in one block; at _BLOCK_ELEMENTS steps each row
+    # is its own block, so the NaN must carry across blocks.
+    for steps in (8, stochastic._BLOCK_ELEMENTS):
+        increments = brownian_increments(19, 40, steps, 1.0).increments
+        increments[row, 3] = np.nan
+        ensemble = PathEnsemble(seed=19, trials=40, steps=steps, horizon_T=1.0,
+                                increments=increments)
+        max_step, max_path = square_identity_residuals(ensemble)
         assert math.isnan(max_step) and math.isnan(max_path)
 
 

@@ -26,19 +26,20 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import math
 import os
 import shutil
 import sys
 import tempfile
-from contextlib import ExitStack, suppress
+from contextlib import suppress
 from dataclasses import asdict, dataclass, fields
 from itertools import starmap
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import kernels, triangle
+from . import kernels, ranges, triangle
 
 if TYPE_CHECKING:
     import numpy as np
@@ -156,37 +157,25 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 def _write_trial_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
     """``_write_csv`` of the rows ``zip(range(trials), *columns)``, formatted on every CPU.
 
-    The trials split into the ranges of ``stochastic._run_in_ranges``.  The
-    parent writes the header and the first range straight into ``path``, each
-    forked worker its own range into an anonymous temporary file opened
-    before the fork, and the parent then appends those in order.  A row's
-    text does not depend on its range, so the file is the same for any
-    number of ranges; the temporary files have no name, so a failed or
-    killed run leaves none behind.
+    Each trial range is formatted into its own file by ``ranges.run_in_ranges``,
+    then copied after the header in range order.  A row's text does not depend
+    on its range, so the file is the same for any number of ranges.
     """
-    from . import stochastic
-
-    bounds = stochastic._range_bounds(len(columns[0]))
     row = _csv_row_format(header)
-    with ExitStack() as stack:
-        handle = stack.enter_context(path.open("w", encoding="utf-8"))
-        parts = [handle] + [
-            stack.enter_context(tempfile.TemporaryFile("w+", encoding="utf-8", dir=path.parent))
-            for _ in bounds[2:]]
+
+    def write_range(lo: int, hi: int, out) -> None:
+        text = io.TextIOWrapper(out, encoding="utf-8")
+        text.writelines(starmap(row, zip(range(lo, hi),
+                                         *(column[lo:hi].tolist() for column in columns))))
+        text.detach()  # flushes into ``out`` and leaves it open
+
+    parts = ranges.run_in_ranges(ranges.range_bounds(len(columns[0])), write_range)
+    with path.open("w", encoding="utf-8") as handle:
         handle.write(",".join(header) + "\n")
-        # Flushed before the fork, so no worker's copy of the buffer holds
-        # text that could reach the file twice.
         handle.flush()
-
-        def write_range(r: int, lo: int, hi: int) -> None:
-            parts[r].writelines(starmap(row, zip(range(lo, hi),
-                                                 *(column[lo:hi].tolist() for column in columns))))
-            parts[r].flush()  # a worker leaves through os._exit, which flushes nothing
-
-        stochastic._run_in_ranges(bounds, write_range)
-        for part in parts[1:]:
-            part.seek(0)
-            shutil.copyfileobj(part, handle)
+        for part in parts:
+            with part:
+                shutil.copyfileobj(part, handle.buffer)
 
 
 def _json_text(name: str, payload: dict) -> str:
@@ -355,7 +344,8 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         "alpha": config.alpha,
         "passed": two.passes(config.alpha),
     })
-    all_passed = all(c["passed"] for c in checks)
+    # The step residual is relative, so one bound holds at every horizon.
+    all_passed = all(c["passed"] for c in checks) and max_step <= 1e-12
 
     curve_x = np.linspace(*_STANDARD_RANGE, 181)
     curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)

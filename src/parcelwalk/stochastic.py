@@ -19,13 +19,11 @@ and the results are bit-identical to building it with
 ``brownian_increments`` and reducing it with ``sqrt_endpoint_statistics``
 and ``square_identity_residuals``, which run the same kernel over slices.
 
-The pass runs on every CPU the process may use: the trials split into one
-contiguous range per CPU, the calling process reduces the first range and a
-forked worker each of the others, writing its rows and maxima into one
-anonymous shared mapping.  A row's results do not depend on where the blocks
-split, so the results are the same bit for bit for any number of ranges, and
-that number is recorded nowhere.  The fork code lives in ``_run_in_ranges``
-alone; the CLI formats ``endpoints.csv`` over the same ranges with it.
+The pass runs on every CPU the process may use: ``ranges.run_in_ranges``
+reduces one contiguous range of trials per CPU, each returning its rows and
+maxima through a file.  A row's results do not depend on where the blocks
+split, so they are the same bit for bit for any number of ranges, which is
+recorded nowhere; the CLI formats ``endpoints.csv`` over the same ranges.
 Whole-ensemble generation (``brownian_increments``) and its reductions stay
 serial.
 
@@ -40,16 +38,13 @@ the bits, of squaring through the complex parcel values.
 from __future__ import annotations
 
 import cmath
-import errno
 import math
-import mmap
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .clifford import CliffordElement, gamma_basis
+from .ranges import range_bounds, run_in_ranges
 
 # Rotation applied to sampled data: maps the parcel directions 1 and i to
 # mirror-symmetric rays about the real axis.
@@ -321,94 +316,27 @@ def _streamed_blocks(seed: int, steps: int, horizon_T: float, first: int, stop: 
         yield lo, block
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on, or 1 where it cannot fork."""
-    if not hasattr(os, "fork"):
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-def _range_bounds(n: int) -> list[int]:
-    """Bounds of ``n`` items split into contiguous ranges, one per CPU, never more than ``n``.
-
-    Range ``r`` is ``[bounds[r], bounds[r + 1])``.
-    """
-    ranges = min(n, _cpu_count())
-    return [n * r // ranges for r in range(ranges + 1)]
-
-
-def _run_in_ranges(bounds: list[int], job) -> None:
-    """Run ``job(r, lo, hi)`` for every range of ``bounds``, each range in its own process.
-
-    The caller runs range 0 itself after forking one worker per other range.
-    A job shares nothing with the caller but what was set up before the
-    fork: a worker returns its results through a shared mapping or a file
-    opened beforehand.  A worker never returns into the caller's code: it
-    leaves through ``os._exit``, which flushes no buffer, with status 0 only
-    when its job returned; a job that raised prints its traceback to stderr
-    first.  Every worker is reaped however the caller's own range ends; one
-    that failed or was killed makes this raise ``ChildProcessError`` (an
-    ``OSError``).
-
-    Forking is safe here although numpy may have started BLAS threads: the
-    jobs run only ufuncs, reductions, a Philox generator they create
-    themselves, float formatting and file writes, none of which needs a lock
-    that another thread could hold.
-    """
-    workers = []
-    try:
-        for r in range(1, len(bounds) - 1):
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    job(r, bounds[r], bounds[r + 1])
-                    status = 0
-                except Exception:
-                    import traceback  # only a failing worker needs it
-
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(status)
-            workers.append(pid)
-        job(0, bounds[0], bounds[1])
-    finally:
-        statuses = [os.waitpid(pid, 0)[1] for pid in workers]
-    failed = [os.waitstatus_to_exitcode(status) for status in statuses if status != 0]
-    if failed:
-        raise ChildProcessError(f"{len(failed)} fig3 worker(s) failed, exit codes {failed} "
-                                "(negative: killed by that signal)")
-
-
 def _stream_in_ranges(seed: int, trials: int, steps: int, horizon_T: float):
     """``(w_T, endpoints, max_step, max_path)`` of the streamed ensemble, one range per CPU.
 
-    ``_run_in_ranges`` reduces the trial ranges; each writes its rows and its
-    two maxima straight into one anonymous shared mapping allocated before
-    the fork.
+    Each range reduces into arrays allocated before the fork, then writes its
+    slices and its two maxima to its file as raw bytes, read back into place.
     """
-    bounds = _range_bounds(trials)
-    ranges = len(bounds) - 1
-    try:
-        mapping = mmap.mmap(-1, 8 * (3 * trials + 2 * ranges))
-    except OSError as exc:
-        if exc.errno == errno.ENOMEM:
-            raise MemoryError(f"cannot map the results of {trials} trials: {exc}") from None
-        raise
-    shared = np.frombuffer(mapping, dtype=np.float64)
-    endpoints = shared[:2 * trials].view(np.complex128)
-    w_T = shared[2 * trials:3 * trials]
-    maxima = shared[3 * trials:].reshape(ranges, 2)
+    w_T = np.empty(trials)
+    endpoints = np.empty(trials, dtype=np.complex128)
 
-    def reduce_range(r: int, lo: int, hi: int) -> None:
-        maxima[r] = _reduce_blocks(_streamed_blocks(seed, steps, horizon_T, lo, hi),
-                                   w_T, endpoints)
+    def reduce_range(lo: int, hi: int, out) -> None:
+        maxima = _reduce_blocks(_streamed_blocks(seed, steps, horizon_T, lo, hi), w_T, endpoints)
+        for array in (w_T[lo:hi], endpoints[lo:hi], np.array(maxima)):
+            out.write(array)
 
-    _run_in_ranges(bounds, reduce_range)
+    bounds = range_bounds(trials)
+    maxima = []
+    for lo, hi, part in zip(bounds, bounds[1:], run_in_ranges(bounds, reduce_range)):
+        with part:
+            part.readinto(w_T[lo:hi])
+            part.readinto(endpoints[lo:hi])
+            maxima.append(np.frombuffer(part.read()))
     max_step, max_path = np.maximum.reduce(maxima)
     return w_T, endpoints, float(max_step), float(max_path)
 

@@ -1,10 +1,11 @@
+import functools
 import hashlib
 import json
 import math
 
 import pytest
 
-from parcelwalk import triangle
+from parcelwalk import stochastic, triangle
 from parcelwalk.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -99,6 +100,19 @@ def test_fig3_statistical_failure_exit_code(tmp_path):
     code = main(["fig3", "--seed", "1", "--trials", "500", "--steps", "50",
                  "--alpha", "0.99", "--out", str(tmp_path / "x")])
     assert code == EXIT_STAT
+
+
+def test_fig3_fails_when_the_roots_do_not_square_back(tmp_path, monkeypatch):
+    # The parcel map {1, -1} leaves every endpoint, and so every KS check,
+    # as it was, but a root increment of a negative step squares to +|dW|.
+    monkeypatch.setattr(stochastic, "_reduce_block",
+                        functools.partial(stochastic._reduce_block, parcel=(1.0, -1.0)))
+    code, out = run_fig3(tmp_path)
+    assert code == EXIT_STAT
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert all(check["passed"] for check in verdict["checks"])
+    assert verdict["all_passed"] is False
+    assert verdict["square_identity"]["max_step_residual"] > 1.0
 
 
 def test_fig3_io_failure_exit_code(tmp_path):

@@ -13,6 +13,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 NUMPY_FREE_RUN = """
 import json, sys
+import parcelwalk.ranges
 from parcelwalk.cli import main
 out = sys.argv[1]
 codes = [main(["triangle", "--n-max", "3", "--kind", "both", "--out", out + "/triangle"]),

@@ -1,9 +1,10 @@
-"""The fig3 pass and endpoints.csv split into trial ranges run by forked workers.
+"""The fork helper, and the fig3 pass and endpoints.csv split into trial ranges by it.
 
-The CPU-count helper is patched to force 1, 2 and 4 ranges.  Results and
-files must be the same bit for bit for every range count, a worker's NaN
-and a worker's failure must reach the parent, and no call may leave a child
-process unreaped.
+``ranges.cpu_count`` is patched to force 1, 2 and 4 ranges.  Each range's
+file comes back in range order; results and files must be the same bit for
+bit for every range count, a worker's NaN and a worker's failure must reach
+the parent, and no call may leave a child process unreaped, a file open or
+a temporary file behind.
 """
 import hashlib
 import json
@@ -11,6 +12,7 @@ import math
 import os
 import signal
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parcelwalk import cli, stochastic
+from parcelwalk import cli, ranges, stochastic
 from parcelwalk.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
 
 FIG3_ARGS = ["fig3", "--seed", "7", "--trials", "300", "--steps", "16"]
@@ -32,7 +34,7 @@ def no_child_left():
 
 
 def force_ranges(monkeypatch, n):
-    monkeypatch.setattr(stochastic, "_cpu_count", lambda: n)
+    monkeypatch.setattr(ranges, "cpu_count", lambda: n)
 
 
 def fail_in(monkeypatch, where, how="raise"):
@@ -128,11 +130,79 @@ def test_failure_in_the_parent_range_still_reaps_every_worker(monkeypatch):
 
 
 def test_cpu_count_falls_back_without_affinity_or_fork(monkeypatch):
-    assert stochastic._cpu_count() == len(os.sched_getaffinity(0))
+    assert ranges.cpu_count() == len(os.sched_getaffinity(0))
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert stochastic._cpu_count() == os.cpu_count()
+    assert ranges.cpu_count() == os.cpu_count()
     monkeypatch.delattr(os, "fork")
-    assert stochastic._cpu_count() == 1
+    assert ranges.cpu_count() == 1
+
+
+def write_range(lo, hi, out):
+    out.write(f"{os.getpid()} {lo} {hi}\n".encode())
+
+
+@pytest.mark.parametrize("items, cpus", [(10, 1), (10, 2), (10, 4), (3, 4)])
+def test_run_in_ranges_returns_each_ranges_file_in_range_order(monkeypatch, items, cpus):
+    force_ranges(monkeypatch, cpus)
+    bounds = ranges.range_bounds(items)
+    assert len(bounds) == min(items, cpus) + 1
+    results = []
+    for part in ranges.run_in_ranges(bounds, write_range):
+        with part:
+            results.append([int(word) for word in part.read().split()])
+    assert [(lo, hi) for _, lo, hi in results] == list(zip(bounds, bounds[1:]))
+    assert bounds[0] == 0 and bounds[-1] == items
+    pids = [pid for pid, _, _ in results]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == len(pids)
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.parametrize("how, code", [("raise", 1), ("signal", -signal.SIGKILL)],
+                         ids=["raise", "signal"])
+def test_failed_worker_raises_leaving_no_file_open_or_behind(tmp_path, monkeypatch, how, code):
+    force_ranges(monkeypatch, 4)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    bounds = ranges.range_bounds(8)
+
+    def job(lo, hi, out):
+        write_range(lo, hi, out)
+        if lo == bounds[2]:
+            if how == "signal":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise RuntimeError("planted failure in a worker")
+
+    fds = open_fds()
+    # The traceback keeps the helper's frame, and so its files, alive: a
+    # file the helper did not close is still open below.
+    with pytest.raises(ChildProcessError) as failure:
+        ranges.run_in_ranges(bounds, job)
+    assert str(failure.value).startswith(f"1 worker(s) failed, exit codes [{code}]")
+    assert open_fds() == fds
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failure_in_the_caller_raises_it_after_reaping_every_worker(tmp_path, monkeypatch):
+    force_ranges(monkeypatch, 4)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    caller = os.getpid()
+
+    def job(lo, hi, out):
+        if os.getpid() == caller:
+            raise KeyError("planted failure in the caller")
+        time.sleep(0.2)  # still running when the caller's range fails
+        write_range(lo, hi, out)
+
+    fds = open_fds()
+    with pytest.raises(KeyError) as failure:  # kept alive, as above
+        ranges.run_in_ranges(ranges.range_bounds(8), job)
+    assert failure.value.args == ("planted failure in the caller",)
+    # no_child_left checks that every worker was reaped
+    assert open_fds() == fds
+    assert list(tmp_path.iterdir()) == []
 
 
 FIG3_FILES = ["endpoints.csv", "fig3_overlay.svg", "hist_brownian_endpoints.csv",
@@ -191,8 +261,8 @@ def fail_formatting(monkeypatch, how):
 
 
 @pytest.mark.parametrize("how", ["raise", "signal"])
-def test_failed_formatting_worker_exits_3_leaving_only_endpoints_csv(tmp_path, monkeypatch,
-                                                                     capsys, how):
+def test_failed_formatting_worker_exits_3_leaving_no_output_directory(tmp_path, monkeypatch,
+                                                                      capsys, how):
     force_ranges(monkeypatch, 2)
     fail_formatting(monkeypatch, how)
     out = tmp_path / "run"

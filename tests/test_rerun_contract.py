@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from parcelwalk import cli, stochastic, triangle
+from parcelwalk import cli, ranges, triangle
 from parcelwalk.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 FIG3_ARGS = ["fig3", "--seed", "7", "--trials", "300", "--steps", "16"]
@@ -57,7 +57,7 @@ def test_refused_kernels_run_creates_no_output_directory(tmp_path):
 
 
 def fail_in_formatting_worker(monkeypatch):
-    monkeypatch.setattr(stochastic, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(ranges, "cpu_count", lambda: 2)
     parent = os.getpid()
     row_format = cli._csv_row_format
 
@@ -88,7 +88,7 @@ def test_failed_worker_traceback_reaches_stderr(tmp_path, monkeypatch, capfd):
     assert main([*FIG3_ARGS, "--out", str(tmp_path / "run")]) == EXIT_IO
     err = capfd.readouterr().err
     assert "RuntimeError: planted failure in a formatting worker" in err
-    assert "1 fig3 worker(s) failed" in err
+    assert "1 worker(s) failed" in err
 
 
 def fail_at_row_7(monkeypatch):

@@ -18,8 +18,6 @@ import importlib
 _EXPORTS = {
     "clifford": (
         "CliffordElement",
-        "adjoint",
-        "bracket",
         "dirac_symbol_square",
         "element",
         "gamma_basis",
@@ -60,7 +58,6 @@ _EXPORTS = {
     ),
     "stochastic": (
         "EndpointStatistics",
-        "PathEnsemble",
         "SphereStepParams",
         "SqrtPath",
         "brownian_increments",

@@ -357,11 +357,11 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         for (name, samples), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
             hist = stats.histogram_build(samples, config.n_bins, _STANDARD_RANGE)
             edges = hist.edges.tolist()
+            densities = hist.densities()
             _write_csv(run.path(f"hist_{name}.csv"), ["bin_lo", "bin_hi", "count", "density"],
-                       zip(edges[:-1], edges[1:], hist.counts.tolist(),
-                           hist.densities().tolist()))
+                       zip(edges[:-1], edges[1:], hist.counts.tolist(), densities.tolist()))
             centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
-            series.append((name.replace("_", " "), color, centers, hist.densities()))
+            series.append((name.replace("_", " "), color, centers, densities))
         run.write_text("fig3_overlay.svg",
                        _overlay_svg(series, "Brownian kernel vs rotated square-root channels"))
         run.write_json("verdict.json", {

@@ -1,4 +1,4 @@
-"""Exact 2x2 complex matrix algebra: Pauli generators, brackets, square roots of wave symbols.
+"""Exact 2x2 complex matrix algebra: Pauli generators and square roots of wave symbols.
 
 All elements are plain ``numpy`` arrays of shape ``(2, 2)`` and dtype
 ``complex128``.  Treat them as immutable: every operation returns a fresh
@@ -45,20 +45,6 @@ def gamma_basis() -> tuple[CliffordElement, CliffordElement, CliffordElement, Cl
     never share arrays.
     """
     return pauli_basis()
-
-
-def adjoint(a: CliffordElement) -> CliffordElement:
-    """Conjugate transpose."""
-    return a.conj().T.copy()
-
-
-def bracket(kind: str, a: CliffordElement, b: CliffordElement) -> CliffordElement:
-    """Commutator ``ab - ba`` or anticommutator ``ab + ba``."""
-    if kind == "commutator":
-        return a @ b - b @ a
-    if kind == "anticommutator":
-        return a @ b + b @ a
-    raise ValueError(f"kind must be 'commutator' or 'anticommutator', got {kind!r}")
 
 
 def pauli_coefficients(a: CliffordElement) -> tuple[complex, complex, complex, complex]:

@@ -11,21 +11,22 @@ Randomness uses one counter-based (Philox) substream per trial, keyed by
 the serial ensemble bit-exactly.
 
 The same property lets ``fig3`` stream: ``stream_endpoint_statistics``
-generates blocks of about 2**17 increments into one reused buffer, resetting
+generates blocks of about 2**15 increments into one reused buffer, resetting
 a single Philox generator to each trial's substream, and one block kernel
 reduces every block to its per-trial W_T and square-root endpoint and to the
 block's square-identity maxima.  The trials x steps ensemble is never held,
-and the results are bit-identical to building it with
-``brownian_increments`` and reducing it with ``sqrt_endpoint_statistics``
-and ``square_identity_residuals``, which run the same kernel over slices.
+and the results are bit-identical to building it as one array with
+``brownian_increments`` and reducing that array with
+``sqrt_endpoint_statistics`` and ``square_identity_residuals``, which run the
+same kernel over slices of it and read trials and steps from its shape.
 
 The pass runs on every CPU the process may use: ``ranges.run_in_ranges``
 reduces one contiguous range of trials per CPU, each returning its rows and
 maxima through a file.  A row's results do not depend on where the blocks
 split, so they are the same bit for bit for any number of ranges, which is
 recorded nowhere; the CLI formats ``endpoints.csv`` over the same ranges.
-Whole-ensemble generation (``brownian_increments``) and its reductions stay
-serial.
+The materialised array and its reductions stay serial: they are the
+reference the streamed pass is tested against.
 
 The kernel works in real arithmetic: each root increment lies on one axis,
 so its square is the real square of its parcel value times the square of
@@ -58,17 +59,6 @@ _BLOCK_ELEMENTS = 2**15
 # Parcel values of the signs +1 and -1, as parcel_from_bernoulli maps them;
 # the block kernel squares each root increment through these.
 _PARCEL = (1.0, 1j)
-
-
-@dataclass(frozen=True)
-class PathEnsemble:
-    """Seeded collection of Brownian increment rows, one trial per row."""
-
-    seed: int
-    trials: int
-    steps: int
-    horizon_T: float
-    increments: np.ndarray  # shape (trials, steps), variance T/steps per entry
 
 
 @dataclass(frozen=True)
@@ -162,21 +152,22 @@ def increment_block(seed: int, first_trial: int, n_trials: int, steps: int,
                     horizon_T: float) -> np.ndarray:
     """Increment rows for trials [first_trial, first_trial + n_trials).
 
-    Building block for parallel generation: each row depends only on
-    (seed, trial index), so blocks computed in any order concatenate into
-    the same ensemble.
+    Each row depends only on (seed, trial index), so any rows of the
+    ensemble can be drawn alone, and blocks drawn in any order concatenate
+    into the rows ``brownian_increments`` returns.
     """
     block = np.empty((n_trials, steps))
     _row_source(seed, steps, horizon_T)(block, first_trial)
     return block
 
 
-def brownian_increments(seed: int, trials: int, steps: int, horizon_T: float) -> PathEnsemble:
-    """Ensemble of i.i.d. N(0, T/steps) increments, bit-reproducible from the arguments."""
+def brownian_increments(seed: int, trials: int, steps: int, horizon_T: float) -> np.ndarray:
+    """``(trials, steps)`` array of i.i.d. N(0, T/steps) increments, one trial per row.
+
+    Bit-reproducible from the arguments.
+    """
     _check_ensemble_args(seed, trials, steps, horizon_T)
-    increments = increment_block(seed, 0, trials, steps, horizon_T)
-    return PathEnsemble(seed=seed, trials=trials, steps=steps,
-                        horizon_T=horizon_T, increments=increments)
+    return increment_block(seed, 0, trials, steps, horizon_T)
 
 
 def signs_to_bernoulli(increments) -> np.ndarray:
@@ -293,12 +284,24 @@ def _reduce_blocks(blocks, w_T: np.ndarray, endpoints: np.ndarray) -> tuple[floa
     return float(max_step), float(max_path)
 
 
-def _reduce_ensemble(ensemble: PathEnsemble):
-    """``(endpoints, max_step, max_path)`` of a materialised ensemble, block by block."""
-    rows = _block_rows(ensemble.steps)
-    blocks = ((lo, ensemble.increments[lo:lo + rows]) for lo in range(0, ensemble.trials, rows))
-    endpoints = np.empty(ensemble.trials, dtype=np.complex128)
-    max_step, max_path = _reduce_blocks(blocks, np.empty(ensemble.trials), endpoints)
+def _reduce_ensemble(increments, statistics: bool = False):
+    """``(endpoints, max_step, max_path)`` of a ``(trials, steps)`` array, block by block.
+
+    Trials and steps are the array's shape, which must be 2-D.  With
+    ``statistics``, an array too small for endpoint statistics is refused
+    before any block is reduced.
+    """
+    increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 2:
+        raise ValueError(f"increments must be a (trials, steps) array, got shape "
+                         f"{increments.shape}")
+    trials, steps = increments.shape
+    if statistics:
+        _check_statistics_trials(trials)
+    rows = _block_rows(steps)
+    blocks = ((lo, increments[lo:lo + rows]) for lo in range(0, trials, rows))
+    endpoints = np.empty(trials, dtype=np.complex128)
+    max_step, max_path = _reduce_blocks(blocks, np.empty(trials), endpoints)
     return endpoints, max_step, max_path
 
 
@@ -361,27 +364,27 @@ def _standard_channels(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _standardize(rotated.real, "channel"), _standardize(rotated.imag, "channel")
 
 
-def sqrt_endpoint_statistics(ensemble: PathEnsemble) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_endpoint_statistics(increments) -> tuple[np.ndarray, np.ndarray]:
     """Wick-rotated square-root endpoints, split into centered unit-variance channels.
 
+    ``increments`` is a ``(trials, steps)`` array with at least 100 rows.
     Per trial: sum the square-root increments, rotate by exp(-i pi/4), and
     split into real and imaginary parts.  Each channel is then centered and
     scaled by its population standard deviation (the raw sums carry a
     positive drift from E|dW|**(1/2) that the rotation does not remove).
     """
-    _check_statistics_trials(ensemble.trials)
-    endpoints, _, _ = _reduce_ensemble(ensemble)
+    endpoints, _, _ = _reduce_ensemble(increments, statistics=True)
     return _standard_channels(endpoints)
 
 
-def square_identity_residuals(ensemble: PathEnsemble) -> tuple[float, float]:
-    """Worst-case defect of the defining identity over the whole ensemble.
+def square_identity_residuals(increments) -> tuple[float, float]:
+    """Worst-case defect of the defining identity over a ``(trials, steps)`` array.
 
     Returns ``(max_step, max_path)``: the max per-step value of
     |(dY)**2 - dW| / max(1, |dW|) and the max per-path value of
-    |sum (dY)**2 - W_T|.  A NaN anywhere in the ensemble makes both NaN.
+    |sum (dY)**2 - W_T|.  A NaN anywhere in the array makes both NaN.
     """
-    _, max_step, max_path = _reduce_ensemble(ensemble)
+    _, max_step, max_path = _reduce_ensemble(increments)
     return max_step, max_path
 
 

@@ -81,10 +81,10 @@ def test_block_source_matches_fresh_generator_per_trial(seed, first_trial, n_tri
 @pytest.mark.parametrize("trials, steps", [(1001, 129), (3001, 129), (700, 1000), (150, 1)])
 def test_streaming_matches_materialised_ensemble_bit_for_bit(trials, steps):
     streamed = stream_endpoint_statistics(11, trials, steps, 2.0)
-    ensemble = brownian_increments(11, trials, steps, 2.0)
-    real_ch, imag_ch = sqrt_endpoint_statistics(ensemble)
-    residuals = square_identity_residuals(ensemble)
-    w_T = ensemble.increments.sum(axis=1)
+    increments = brownian_increments(11, trials, steps, 2.0)
+    real_ch, imag_ch = sqrt_endpoint_statistics(increments)
+    residuals = square_identity_residuals(increments)
+    w_T = increments.sum(axis=1)
     assert streamed.brownian_endpoints.tobytes() == w_T.tobytes()
     assert streamed.brownian_scaled.tobytes() == ((w_T - w_T.mean()) / w_T.std()).tobytes()
     assert streamed.real_channel.tobytes() == real_ch.tobytes()

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from parcelwalk.clifford import (
-    adjoint,
-    bracket,
     dirac_symbol_square,
     element,
     gamma_basis,
@@ -24,7 +22,7 @@ def test_pauli_squares_are_identity_exactly():
 def test_pauli_anticommutators_vanish_exactly():
     pairs = [(S1, S2), (S1, S3), (S2, S3)]
     for a, b in pairs:
-        assert np.array_equal(bracket("anticommutator", a, b), ZERO)
+        assert np.array_equal(a @ b + b @ a, ZERO)
 
 
 def test_sigma1_sigma2_is_i_sigma3():
@@ -37,8 +35,8 @@ def test_sigma3_is_diagonal_plus_minus_one():
 
 def test_paulis_self_adjoint_and_unitary():
     for s in (S1, S2, S3):
-        assert np.array_equal(adjoint(s), s)
-        assert np.array_equal(adjoint(s) @ s, I)
+        assert np.array_equal(s.conj().T, s)
+        assert np.array_equal(s.conj().T @ s, I)
 
 
 def test_identity_is_multiplicative_unit():
@@ -47,13 +45,8 @@ def test_identity_is_multiplicative_unit():
 
 
 def test_commutator_examples():
-    assert np.array_equal(bracket("commutator", S1, S1), ZERO)
-    assert np.array_equal(bracket("commutator", S1, S2), 2j * S3)
-
-
-def test_bracket_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        bracket("jordan", S1, S2)
+    assert np.array_equal(S1 @ S1 - S1 @ S1, ZERO)
+    assert np.array_equal(S1 @ S2 - S2 @ S1, 2j * S3)
 
 
 def test_gamma_basis_is_independent_instance_with_same_relations():
@@ -61,7 +54,7 @@ def test_gamma_basis_is_independent_instance_with_same_relations():
     assert np.array_equal(gi, I) and gi is not I
     for g in (g1, g2, g3):
         assert np.array_equal(g @ g, I)
-    assert np.array_equal(bracket("anticommutator", g1, g2), ZERO)
+    assert np.array_equal(g1 @ g2 + g2 @ g1, ZERO)
 
 
 def test_dirac_symbol_square_axis_cases():
@@ -79,22 +72,6 @@ def test_dirac_symbol_square_scalar_law_random():
         scalar, offdiag = dirac_symbol_square(s, u, v)
         assert abs(scalar - (s * s - u * u - v * v)) <= 1e-12
         assert offdiag <= 1e-12
-
-
-def test_adjoint_reverses_products():
-    rng = np.random.default_rng(7)
-    for _ in range(50):
-        a = element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        b = element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        lhs = adjoint(a @ b)
-        rhs = adjoint(b) @ adjoint(a)
-        assert np.abs(lhs - rhs).max() <= 1e-12
-
-
-def test_adjoint_is_involution():
-    rng = np.random.default_rng(8)
-    a = element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    assert np.array_equal(adjoint(adjoint(a)), a)
 
 
 def test_mul_associativity_spot_check():

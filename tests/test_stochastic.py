@@ -8,7 +8,6 @@ from parcelwalk import stochastic
 from parcelwalk.clifford import gamma_basis, pauli_coefficients
 from parcelwalk.stats import ks_one_sample, ks_two_sample, std_normal_cdf
 from parcelwalk.stochastic import (
-    PathEnsemble,
     SphereStepParams,
     brownian_increments,
     check_unit_constraint,
@@ -28,7 +27,7 @@ GI, G1, G2, G3 = gamma_basis()
 def test_brownian_increments_deterministic():
     a = brownian_increments(1, 1, 4, 1.0)
     b = brownian_increments(1, 1, 4, 1.0)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(a, b)
 
 
 def test_increment_blocks_merge_like_any_worker_split():
@@ -36,7 +35,7 @@ def test_increment_blocks_merge_like_any_worker_split():
     split = np.vstack([increment_block(5, 0, 3, 9, 2.0),
                        increment_block(5, 3, 4, 9, 2.0)])
     assert np.array_equal(whole, split)
-    assert np.array_equal(whole, brownian_increments(5, 7, 9, 2.0).increments)
+    assert np.array_equal(whole, brownian_increments(5, 7, 9, 2.0))
 
 
 def test_brownian_increments_guards():
@@ -52,15 +51,13 @@ def test_brownian_increments_guards():
 
 
 def test_endpoint_variance_matches_horizon():
-    ensemble = brownian_increments(7, 100_000, 1, 1.0)
-    endpoints = ensemble.increments.sum(axis=1)
+    endpoints = brownian_increments(7, 100_000, 1, 1.0).sum(axis=1)
     assert 0.985 <= endpoints.var() <= 1.015
     assert abs(endpoints.mean()) <= 5 / math.sqrt(100_000)
 
 
 def test_per_increment_variance_is_horizon_over_steps():
-    ensemble = brownian_increments(8, 50_000, 4, 4.0)
-    flat = ensemble.increments.ravel()
+    flat = brownian_increments(8, 50_000, 4, 4.0).ravel()
     # T/steps = 1; 5 sigma band for the sample variance of 2e5 draws
     assert abs(flat.var() - 1.0) <= 5 * math.sqrt(2 / flat.size)
 
@@ -71,7 +68,7 @@ def test_signs_to_bernoulli():
 
 
 def test_sign_fraction_is_balanced():
-    inc = brownian_increments(11, 1, 100_000, 1.0).increments[0]
+    inc = brownian_increments(11, 1, 100_000, 1.0)[0]
     frac = (signs_to_bernoulli(inc) == 1).mean()
     assert 0.494 <= frac <= 0.506
 
@@ -79,7 +76,7 @@ def test_sign_fraction_is_balanced():
 def test_parcel_values_and_square_identity():
     assert parcel_from_bernoulli([1]).tolist() == [1 + 0j]
     assert parcel_from_bernoulli([-1]).tolist() == [1j]
-    b = signs_to_bernoulli(brownian_increments(3, 1, 1000, 1.0).increments[0])
+    b = signs_to_bernoulli(brownian_increments(3, 1, 1000, 1.0)[0])
     phi = parcel_from_bernoulli(b)
     assert np.array_equal(phi**2, b.astype(np.complex128))
 
@@ -102,7 +99,7 @@ def test_sqrt_path_single_steps():
 
 
 def test_sqrt_path_square_identity_per_step():
-    inc = brownian_increments(13, 1, 5_000, 1.0).increments[0]
+    inc = brownian_increments(13, 1, 5_000, 1.0)[0]
     path = sqrt_path(inc)
     resid = np.abs(path.sqrt_increments**2 - inc) / np.maximum(1.0, np.abs(inc))
     assert resid.max() <= 1e-15
@@ -129,8 +126,7 @@ def test_wick_rotation_is_isometry():
 
 
 def test_endpoint_channels_centered_and_scaled():
-    ensemble = brownian_increments(3, 500, 64, 1.0)
-    real_ch, imag_ch = sqrt_endpoint_statistics(ensemble)
+    real_ch, imag_ch = sqrt_endpoint_statistics(brownian_increments(3, 500, 64, 1.0))
     for ch in (real_ch, imag_ch):
         assert abs(ch.mean()) <= 1e-12
         assert abs(ch.var() - 1.0) <= 1e-12
@@ -139,15 +135,28 @@ def test_endpoint_channels_centered_and_scaled():
 def test_endpoint_statistics_guards():
     with pytest.raises(ValueError):
         sqrt_endpoint_statistics(brownian_increments(3, 99, 8, 1.0))
-    degenerate = PathEnsemble(seed=0, trials=200, steps=4, horizon_T=1.0,
-                              increments=np.zeros((200, 4)))
-    with pytest.raises(ValueError):
-        sqrt_endpoint_statistics(degenerate)
+    with pytest.raises(ValueError, match="degenerate"):
+        sqrt_endpoint_statistics(np.zeros((200, 4)))
+
+
+@pytest.mark.parametrize("reduction", [sqrt_endpoint_statistics, square_identity_residuals])
+@pytest.mark.parametrize("shape", [(400,), (2, 200, 4)], ids=["1-D", "3-D"])
+def test_reductions_refuse_arrays_that_are_not_2d(reduction, shape):
+    with pytest.raises(ValueError, match="trials, steps"):
+        reduction(np.ones(shape))
+
+
+def test_too_few_rows_are_refused_before_any_block_is_reduced(monkeypatch):
+    def no_blocks(*args):
+        raise AssertionError("a block was reduced")
+
+    monkeypatch.setattr(stochastic, "_reduce_blocks", no_blocks)
+    with pytest.raises(ValueError, match="100 trials"):
+        sqrt_endpoint_statistics(np.ones((99, 8)))
 
 
 def test_path_sums_telescope_to_brownian_endpoint():
-    ensemble = brownian_increments(17, 300, 400, 1.0)
-    for row in ensemble.increments[:50]:
+    for row in brownian_increments(17, 300, 400, 1.0)[:50]:
         path = sqrt_path(row)
         assert abs(np.sum(path.sqrt_increments**2) - row.sum()) <= 1e-14
 
@@ -163,19 +172,17 @@ def test_square_identity_residuals_propagate_nan(row):
     # 8 steps put every row in one block; at _BLOCK_ELEMENTS steps each row
     # is its own block, so the NaN must carry across blocks.
     for steps in (8, stochastic._BLOCK_ELEMENTS):
-        increments = brownian_increments(19, 40, steps, 1.0).increments
+        increments = brownian_increments(19, 40, steps, 1.0)
         increments[row, 3] = np.nan
-        ensemble = PathEnsemble(seed=19, trials=40, steps=steps, horizon_T=1.0,
-                                increments=increments)
-        max_step, max_path = square_identity_residuals(ensemble)
+        max_step, max_path = square_identity_residuals(increments)
         assert math.isnan(max_step) and math.isnan(max_path)
 
 
 def test_channels_normal_at_moderate_scale():
     # trials >= 1e4 is the documented regime for the KS checks
-    ensemble = brownian_increments(3, 10_000, 300, 1.0)
-    real_ch, imag_ch = sqrt_endpoint_statistics(ensemble)
-    endpoints = ensemble.increments.sum(axis=1)
+    increments = brownian_increments(3, 10_000, 300, 1.0)
+    real_ch, imag_ch = sqrt_endpoint_statistics(increments)
+    endpoints = increments.sum(axis=1)
     scaled = (endpoints - endpoints.mean()) / endpoints.std()
     assert ks_one_sample(scaled, std_normal_cdf).passes(0.01)
     assert ks_one_sample(real_ch, std_normal_cdf).passes(0.01)
@@ -233,10 +240,9 @@ def test_check_unit_constraint_classification():
 
 
 def test_sqrt_endpoints_match_wick_rotated_path_sums():
-    ensemble = brownian_increments(29, 150, 32, 1.0)
-    real_ch, imag_ch = sqrt_endpoint_statistics(ensemble)
-    raw = np.array([np.sum(sqrt_path(row).sqrt_increments)
-                    for row in ensemble.increments])
+    increments = brownian_increments(29, 150, 32, 1.0)
+    real_ch, imag_ch = sqrt_endpoint_statistics(increments)
+    raw = np.array([np.sum(sqrt_path(row).sqrt_increments) for row in increments])
     rotated = raw * cmath.exp(-1j * math.pi / 4)
     for channel, values in ((real_ch, rotated.real), (imag_ch, rotated.imag)):
         rebuilt = (values - values.mean()) / values.std()

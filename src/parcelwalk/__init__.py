@@ -19,7 +19,6 @@ _EXPORTS = {
     "clifford": (
         "CliffordElement",
         "dirac_symbol_square",
-        "element",
         "gamma_basis",
         "pauli_basis",
         "pauli_coefficients",
@@ -49,7 +48,6 @@ _EXPORTS = {
         "Histogram",
         "KsResult",
         "StatsReport",
-        "gaussian_fit",
         "histogram_build",
         "ks_one_sample",
         "ks_two_sample",

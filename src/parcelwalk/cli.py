@@ -252,6 +252,12 @@ class _RunDir:
         return EXIT_OK if passed else EXIT_STAT
 
 
+def _require_positive_finite(*named: tuple[str, float]) -> None:
+    for name, value in named:
+        if not (value > 0 and math.isfinite(value)):
+            raise UsageError(f"{name} must be positive and finite, got {value}")
+
+
 def _flags(args: argparse.Namespace) -> dict:
     """A subcommand's parsed flags, as its manifest records them."""
     return {key: value for key, value in vars(args).items() if key not in ("command", "run")}
@@ -327,7 +333,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
              ("sqrt_imag_channel", imag_ch)]
     for name, samples in named:
         report = stats.stats_report(samples, stats.std_normal_cdf, config.alpha)
-        reports[name] = report.to_dict()
+        reports[name] = asdict(report)
         fits[name] = {"mu": report.mean, "sigma": math.sqrt(report.variance)}
         checks.append({
             "name": f"ks_{name}_vs_normal",
@@ -434,9 +440,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 
     report, circle_n, hbar, omega = args.report, args.circle_n, args.hbar, args.omega
     sphere_samples, seed = args.sphere_samples, args.seed
-    for name, value in (("hbar", hbar), ("omega", omega)):
-        if not (value > 0 and math.isfinite(value)):
-            raise UsageError(f"{name} must be positive and finite, got {value}")
+    _require_positive_finite(("hbar", hbar), ("omega", omega))
     for name, value, lo, hi in (("circle_n", circle_n, 4, geometry.MAX_CIRCLE_N),
                                 ("oscillator_n_max", args.oscillator_n_max, 0,
                                  geometry.MAX_OSCILLATOR_N),
@@ -543,8 +547,15 @@ _KERNEL_GRID = {"n_x": 40, "n_t": 25}
 
 
 def cmd_kernels(args: argparse.Namespace) -> int:
-    """Kernel grid dumps plus the imaginary-time identity residual."""
-    spec = kernels.KernelSpec(diffusion_D=args.diffusion, hbar=args.hbar, mass_m=args.mass)
+    """Kernel grid dumps plus the imaginary-time identity residual.
+
+    The diffusion coefficient is the one the identity holds for, D = hbar/(2m).
+    """
+    hbar, mass = args.hbar, args.mass
+    _require_positive_finite(("hbar", hbar), ("mass", mass))
+    diffusion = hbar / (2 * mass)
+    _require_positive_finite(("hbar/(2*mass)", diffusion))
+    spec = kernels.KernelSpec(diffusion_D=diffusion, hbar=hbar, mass_m=mass)
     xs = _linspace(-4.0, 4.0, _KERNEL_GRID["n_x"])
     ts = _linspace(0.1, 2.5, _KERNEL_GRID["n_t"])
     grid = [(x, t) for t in ts for x in xs]
@@ -617,7 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     ker = sub.add_parser("kernels", help="kernel grid dumps and identity residual")
     ker.set_defaults(run=cmd_kernels)
-    ker.add_argument("--diffusion", type=float, default=0.5)
     ker.add_argument("--hbar", type=float, default=1.0)
     ker.add_argument("--mass", type=float, default=1.0)
     ker.add_argument("--out", type=str, default="out")

@@ -13,16 +13,6 @@ import numpy as np
 CliffordElement = np.ndarray
 
 
-def element(entries) -> CliffordElement:
-    """Validate and cast a 2x2 array-like into a CliffordElement."""
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise ValueError("matrix entries must be finite")
-    return m
-
-
 def pauli_basis() -> tuple[CliffordElement, CliffordElement, CliffordElement, CliffordElement]:
     """Return ``(identity, sigma1, sigma2, sigma3)`` in the standard convention.
 

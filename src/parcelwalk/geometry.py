@@ -29,17 +29,19 @@ MAX_OSCILLATOR_N = 1000
 
 @dataclass(frozen=True)
 class CircleModel:
-    """Uniform angular grid theta_j = 2 pi j / N on the unit circle."""
+    """The unit circle sampled at N equally spaced angles 2 pi j / N.
+
+    N is all the circle check reads: its Fourier modes and the shift
+    between them follow from it, so no angle is stored.
+    """
 
     n_points: int
-    thetas: np.ndarray
 
 
 def circle_model(n_points: int) -> CircleModel:
     if n_points < 4:
         raise ValueError(f"circle grid needs N >= 4, got {n_points}")
-    j = np.arange(n_points)
-    return CircleModel(n_points=n_points, thetas=2.0 * np.pi * j / n_points)
+    return CircleModel(n_points=n_points)
 
 
 @dataclass(frozen=True)

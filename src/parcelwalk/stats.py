@@ -1,4 +1,4 @@
-"""Histograms, moments, Gaussian fits, and Kolmogorov-Smirnov tests.
+"""Histograms, moments, and Kolmogorov-Smirnov tests.
 
 The KS machinery uses the asymptotic thresholds c(alpha)/sqrt(n) with
 c(alpha) = sqrt(-ln(alpha/2)/2); valid for n >= ~1e3, which is the regime
@@ -7,7 +7,7 @@ every distributional check here runs in (c(0.05) = 1.358, c(0.01) = 1.628).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,18 +50,6 @@ def histogram_build(samples, n_bins: int, range_: tuple[float, float]) -> Histog
     counts = np.bincount(idx[in_range], minlength=n_bins).astype(np.int64)
     return Histogram(edges=edges, counts=counts, total=int(x.size),
                      n_out_of_range=int(x.size - in_range.sum()))
-
-
-def gaussian_fit(samples) -> tuple[float, float]:
-    """Sample mean and population (1/N) standard deviation.
-
-    A zero-variance input returns sigma = 0.0; callers treat that as a
-    degenerate fit.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size < 2:
-        raise ValueError(f"need at least 2 samples to fit, got {x.size}")
-    return float(x.mean()), float(x.std())
 
 
 def std_normal_cdf(x) -> np.ndarray:
@@ -146,9 +134,6 @@ class StatsReport:
     ks_statistic: float
     ks_threshold: float
     verdict: str  # "pass" | "fail"
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def stats_report(samples, reference_cdf, alpha: float) -> StatsReport:

@@ -154,8 +154,13 @@ def increment_block(seed: int, first_trial: int, n_trials: int, steps: int,
 
     Each row depends only on (seed, trial index), so any rows of the
     ensemble can be drawn alone, and blocks drawn in any order concatenate
-    into the rows ``brownian_increments`` returns.
+    into the rows ``brownian_increments`` returns.  A trial index is one
+    64-bit word of the Philox counter, so the range must lie in [0, 2**64).
     """
+    _check_ensemble_args(seed, n_trials, steps, horizon_T)
+    if not 0 <= first_trial <= 2**64 - n_trials:
+        raise ValueError(f"trials [{first_trial}, {first_trial + n_trials}) "
+                         "do not lie in [0, 2**64)")
     block = np.empty((n_trials, steps))
     _row_source(seed, steps, horizon_T)(block, first_trial)
     return block
@@ -166,7 +171,6 @@ def brownian_increments(seed: int, trials: int, steps: int, horizon_T: float) ->
 
     Bit-reproducible from the arguments.
     """
-    _check_ensemble_args(seed, trials, steps, horizon_T)
     return increment_block(seed, 0, trials, steps, horizon_T)
 
 

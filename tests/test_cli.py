@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from parcelwalk import stochastic, triangle
+from parcelwalk import kernels, stochastic, triangle
 from parcelwalk.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -266,6 +266,19 @@ def test_kernels_report(tmp_path):
     assert verdict["wick_identity_residual"] <= 1e-12
     assert (out / "heat_kernel_grid.csv").exists()
     assert (out / "schrodinger_kernel_grid.csv").exists()
+
+
+def test_kernels_derives_the_diffusion_coefficient_from_hbar_and_mass(tmp_path):
+    out = tmp_path / "ker"
+    assert main(["kernels", "--hbar", "2", "--mass", "3", "--out", str(out)]) == EXIT_OK
+    spec = kernels.KernelSpec(diffusion_D=1 / 3, hbar=2.0, mass_m=3.0)
+    header, *lines = (out / "heat_kernel_grid.csv").read_text().splitlines()
+    assert header == "x,t,re,im" and len(lines) == 1000
+    for line in lines:
+        x, t, re, im = map(float, line.split(","))
+        assert (re, im) == (kernels.heat_kernel(spec, x, t), 0.0)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "diffusion" not in manifest["config"]
 
 
 def test_unknown_subcommand_is_usage_error():

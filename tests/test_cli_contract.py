@@ -50,8 +50,8 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     ["geometry", "--sphere-samples", str(geometry.MAX_SPHERE_SAMPLES + 1)],
     ["geometry", "--seed", "-1"],
     ["kernels", "--hbar", "1e308", "--mass", "1e-308"],
-    ["kernels", "--diffusion", "inf"],
-    ["kernels", "--diffusion", "nan"],
+    ["kernels", "--hbar", "inf"],
+    ["kernels", "--hbar", "nan"],
     ["kernels", "--mass", "inf"],
     ["fig3", "--seed", str(2**64), "--trials", "100", "--steps", "4"],
     ["fig3", "--trials", "100000000000", "--steps", "4"],
@@ -63,6 +63,17 @@ def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--hbar", "inf"], "hbar must"),
+    (["--mass", "0"], "mass must"),
+    (["--hbar", "1e308", "--mass", "1e-308"], "hbar/(2*mass) must"),
+])
+def test_kernels_usage_error_names_the_flag_or_the_quotient(tmp_path, capsys, argv, named):
+    assert main(["kernels", *argv, "--out", str(tmp_path / "run")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert named in err and "diffusion" not in err
 
 
 @pytest.mark.parametrize("report, flag, cap", [

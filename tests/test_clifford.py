@@ -3,7 +3,6 @@ import pytest
 
 from parcelwalk.clifford import (
     dirac_symbol_square,
-    element,
     gamma_basis,
     pauli_basis,
     pauli_coefficients,
@@ -74,23 +73,9 @@ def test_dirac_symbol_square_scalar_law_random():
         assert offdiag <= 1e-12
 
 
-def test_mul_associativity_spot_check():
-    rng = np.random.default_rng(9)
-    a, b, c = (element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-               for _ in range(3))
-    assert np.abs((a @ b) @ c - a @ (b @ c)).max() <= 1e-12
-
-
-def test_element_validates_shape_and_finiteness():
-    with pytest.raises(ValueError):
-        element([[1, 2, 3], [4, 5, 6]])
-    with pytest.raises(ValueError):
-        element([[np.inf, 0], [0, 1]])
-
-
 def test_pauli_coefficients_reconstruct():
     rng = np.random.default_rng(10)
-    a = element(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     c0, c1, c2, c3 = pauli_coefficients(a)
     rebuilt = c0 * I + c1 * S1 + c2 * S2 + c3 * S3
     assert np.abs(rebuilt - a).max() <= 1e-13

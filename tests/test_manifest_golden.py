@@ -24,7 +24,7 @@ MANIFEST_GOLDEN = {
                       "--sphere-samples", "2000", "--seed", "3"],
                      "5499b18e8b772dd41359187c043d5a8b22f45d91a8e050497d3871cab61d14af"),
     "kernels": (["kernels"],
-                "b9c917fc36ea4f86d8d33c80196c9cd0456f5a231ad45396cee04b6a328124b7"),
+                "a3feff0f0bca7624f09a3c02ddcd24d9aa666037ff29192b82ba4902e96102d6"),
 }
 
 

@@ -13,12 +13,12 @@ import os
 
 import pytest
 
-from parcelwalk import cli, ranges, triangle
+from parcelwalk import cli, kernels, ranges, triangle
 from parcelwalk.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 FIG3_ARGS = ["fig3", "--seed", "7", "--trials", "300", "--steps", "16"]
 TRIANGLE_ARGS = ["triangle", "--n-max", "9"]
-KERNELS_MISMATCH = ["kernels", "--diffusion", "0.25", "--hbar", "2", "--mass", "3"]
+KERNELS_ARGS = ["kernels", "--hbar", "2", "--mass", "3"]
 
 
 @pytest.fixture(autouse=True)
@@ -40,19 +40,26 @@ def assert_manifest_absent_or_current(out):
         assert len(data) == entry["bytes"], name
 
 
-def test_failed_kernels_rerun_leaves_the_old_run_as_it_was(tmp_path):
+def nan_wick_residual(monkeypatch):
+    """Fail a kernels run after both CSVs are staged: its NaN verdict cannot be written."""
+    monkeypatch.setattr(kernels, "wick_identity_residual", lambda *args: float("nan"))
+
+
+def test_failed_kernels_rerun_leaves_the_old_run_as_it_was(tmp_path, monkeypatch):
     out = tmp_path / "run"
     assert main(["kernels", "--out", str(out)]) == EXIT_OK
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    assert main([*KERNELS_MISMATCH, "--out", str(out)]) == EXIT_USAGE
+    nan_wick_residual(monkeypatch)
+    assert main([*KERNELS_ARGS, "--out", str(out)]) == EXIT_USAGE
     assert_manifest_absent_or_current(out)
     assert (out / "heat_kernel_grid.csv").read_bytes() == before["heat_kernel_grid.csv"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
-def test_refused_kernels_run_creates_no_output_directory(tmp_path):
+def test_refused_kernels_run_creates_no_output_directory(tmp_path, monkeypatch):
     out = tmp_path / "run"
-    assert main([*KERNELS_MISMATCH, "--out", str(out)]) == EXIT_USAGE
+    nan_wick_residual(monkeypatch)
+    assert main([*KERNELS_ARGS, "--out", str(out)]) == EXIT_USAGE
     assert not out.exists()
 
 

@@ -50,6 +50,30 @@ def test_brownian_increments_guards():
             brownian_increments(1, 1, 1, horizon)
 
 
+# (seed, first_trial, n_trials, steps, horizon_T); the trial index is one
+# 64-bit word of the Philox counter.
+@pytest.mark.parametrize("args", [
+    (1, 0, 2, 4, math.nan),
+    (1, 0, 2, 4, math.inf),
+    (1, 0, 2, 4, -math.inf),
+    (2**64, 0, 2, 4, 1.0),
+    (-1, 0, 2, 4, 1.0),
+    (1, 0, 2, 0, 1.0),
+    (1, 0, 0, 4, 1.0),
+    (1, -1, 2, 4, 1.0),
+    (1, 2**64 - 1, 2, 4, 1.0),
+    (1, 2**64, 1, 4, 1.0),
+])
+def test_increment_block_refuses_what_brownian_increments_refuses(args):
+    with pytest.raises(ValueError):
+        increment_block(*args)
+
+
+def test_increment_block_draws_the_last_trial_index():
+    last = increment_block(1, 2**64 - 2, 2, 4, 1.0)
+    assert last.shape == (2, 4) and np.isfinite(last).all()
+
+
 def test_endpoint_variance_matches_horizon():
     endpoints = brownian_increments(7, 100_000, 1, 1.0).sum(axis=1)
     assert 0.985 <= endpoints.var() <= 1.015

@@ -28,7 +28,6 @@ _EXPORTS = {
         "CircleModel",
         "OscillatorSpec",
         "OscillatorVolumes",
-        "circle_distance",
         "circle_model",
         "circle_quantization_residual",
         "fourier_modes",
@@ -57,18 +56,15 @@ _EXPORTS = {
     "stochastic": (
         "EndpointStatistics",
         "SphereStepParams",
-        "SqrtPath",
         "brownian_increments",
         "check_unit_constraint",
         "increment_block",
         "parcel_from_bernoulli",
-        "signs_to_bernoulli",
         "sphere_sqrt_step",
         "sqrt_endpoint_statistics",
         "sqrt_path",
         "square_identity_residuals",
         "stream_endpoint_statistics",
-        "wick_rotate_samples",
     ),
     "triangle": (
         "TriangleRow",

@@ -125,8 +125,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError("horizon must be positive and finite")
     if config.n_bins < 1:
         raise UsageError("bins must be >= 1")
-    if not 0.0 < config.alpha < 1.0:
-        raise UsageError("alpha must be in (0, 1)")
+    if not 0.0 < config.alpha / 2.0 < 0.5:  # as stats._ks_coefficient checks it
+        raise UsageError(f"alpha must be in (0, 1) with alpha / 2 > 0, got {config.alpha}")
     if config.trials < 100:
         raise UsageError(
             f"trials={config.trials} is below the minimum of 100 for endpoint statistics"

@@ -60,11 +60,6 @@ class OscillatorSpec:
             raise ValueError(f"n_quanta must be >= 0, got {self.n_quanta}")
 
 
-def circle_distance(theta1, theta2):
-    """Chord distance on the unit circle, 2*|sin((theta1 - theta2)/2)|."""
-    return 2.0 * np.abs(np.sin((np.asarray(theta1) - np.asarray(theta2)) / 2.0))
-
-
 def fourier_modes(n_points: int) -> np.ndarray:
     """Integer mode labels -floor(N/2) .. ceil(N/2)-1 in ascending order."""
     return np.arange(-(n_points // 2), (n_points + 1) // 2)
@@ -114,7 +109,6 @@ def length_quantization_check(length: float, tol: float) -> int | None:
 class OscillatorVolumes:
     classical_volume: float
     quantized_volume: float
-    semi_axes: tuple[float, float]
 
 
 def oscillator_volumes(spec: OscillatorSpec) -> OscillatorVolumes:
@@ -130,8 +124,7 @@ def oscillator_volumes(spec: OscillatorSpec) -> OscillatorVolumes:
         raise ValueError(f"omega**2 overflows a float at omega = {spec.omega}") from None
     classical = math.pi * a * b
     quantized = 2.0 * math.pi * (spec.n_quanta + 0.5) * spec.hbar
-    return OscillatorVolumes(classical_volume=classical, quantized_volume=quantized,
-                             semi_axes=(a, b))
+    return OscillatorVolumes(classical_volume=classical, quantized_volume=quantized)
 
 
 def sphere_map(u) -> CliffordElement:

@@ -62,8 +62,9 @@ def std_normal_cdf(x) -> np.ndarray:
 
 
 def _ks_coefficient(alpha: float) -> float:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    # alpha / 2 < 0.5 is alpha < 1; 0 < alpha / 2 also refuses 5e-324, whose half is 0.
+    if not 0.0 < alpha / 2.0 < 0.5:
+        raise ValueError(f"alpha must be in (0, 1) with alpha / 2 > 0, got {alpha}")
     return math.sqrt(-math.log(alpha / 2.0) / 2.0)
 
 

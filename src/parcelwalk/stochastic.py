@@ -74,16 +74,6 @@ class EndpointStatistics:
 
 
 @dataclass(frozen=True)
-class SqrtPath:
-    """Square-root path derived from one row of Brownian increments."""
-
-    bernoulli: np.ndarray        # {+1, -1} signs
-    parcel: np.ndarray           # {1, i} values, parcel[j]**2 == bernoulli[j]
-    sqrt_increments: np.ndarray  # complex; squares back to the increments
-    partial_sums: np.ndarray     # running sum of sqrt_increments
-
-
-@dataclass(frozen=True)
 class SphereStepParams:
     """Coefficients of the sphere-valued step; all-zero defaults are inert."""
 
@@ -174,12 +164,6 @@ def brownian_increments(seed: int, trials: int, steps: int, horizon_T: float) ->
     return increment_block(seed, 0, trials, steps, horizon_T)
 
 
-def signs_to_bernoulli(increments) -> np.ndarray:
-    """Elementwise sign as {+1, -1}; sign(0) = +1 (measure-zero tie-break)."""
-    inc = np.asarray(increments)
-    return np.where(inc >= 0, 1, -1)
-
-
 def parcel_from_bernoulli(bernoulli) -> np.ndarray:
     """Map signs to parcel values: +1 -> 1, -1 -> i; elementwise Phi**2 == B."""
     b = np.asarray(bernoulli)
@@ -188,22 +172,16 @@ def parcel_from_bernoulli(bernoulli) -> np.ndarray:
     return (1 + b) / 2.0 + 1j * (1 - b) / 2.0
 
 
-def sqrt_path(increments) -> SqrtPath:
-    """Square-root path of one increment row: Phi * |dW|**(1/2) per step."""
+def sqrt_path(increments) -> np.ndarray:
+    """Root increments of one increment row: Phi * |dW|**(1/2) per step, complex.
+
+    The sign of 0 is taken as +1; it cannot show, since |0|**(1/2) is 0 on
+    either axis.
+    """
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
         raise ValueError(f"sqrt_path takes a single 1-D path, got shape {inc.shape}")
-    bernoulli = signs_to_bernoulli(inc)
-    parcel = parcel_from_bernoulli(bernoulli)
-    sqrt_increments = parcel * np.sqrt(np.abs(inc))
-    return SqrtPath(bernoulli=bernoulli, parcel=parcel,
-                    sqrt_increments=sqrt_increments,
-                    partial_sums=np.cumsum(sqrt_increments))
-
-
-def wick_rotate_samples(z) -> np.ndarray:
-    """Multiply samples by exp(-i pi/4); an isometry symmetrizing the parcel axes."""
-    return np.asarray(z, dtype=np.complex128) * WICK_FACTOR
+    return parcel_from_bernoulli(np.where(inc >= 0, 1, -1)) * np.sqrt(np.abs(inc))
 
 
 def _work_buffers(rows: int, steps: int):
@@ -222,7 +200,7 @@ def _real_squares(parcel) -> tuple[float, float]:
 def _reduce_block(block: np.ndarray, parcel=_PARCEL, work=None):
     """Per-row ``W_T`` and square-root endpoint, plus the block's square-identity maxima.
 
-    Increments >= 0 (-0.0 included, as in ``signs_to_bernoulli``) take parcel
+    Increments >= 0 (-0.0 included, as in ``sqrt_path``) take parcel
     1 and accumulate on the real axis; negative ones take parcel i and
     accumulate on the imaginary axis.  ``parcel`` holds the values of the
     signs +1 and -1 that each root increment is squared through; their
@@ -364,7 +342,7 @@ def _standardize(values: np.ndarray, what: str) -> np.ndarray:
 
 
 def _standard_channels(endpoints: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    rotated = wick_rotate_samples(endpoints)
+    rotated = endpoints * WICK_FACTOR
     return _standardize(rotated.real, "channel"), _standardize(rotated.imag, "channel")
 
 

@@ -52,7 +52,7 @@ def test_block_kernel_matches_sqrt_path_row_by_row(block):
     w_T, endpoints, step, path = stochastic._reduce_block(block)
     row_steps, row_paths = [], []
     for i, row in enumerate(block):
-        root_increments = sqrt_path(row).sqrt_increments
+        root_increments = sqrt_path(row)
         squared = root_increments ** 2
         assert same(w_T[i], row.sum())
         assert same(endpoints[i].real, root_increments.real.sum())
@@ -145,7 +145,7 @@ def test_nan_increment_reaches_both_endpoint_axes():
     block = increment_block(3, 0, 3, 8, 1.0)
     block[1, 2] = np.nan
     _, endpoints, step, path = stochastic._reduce_block(block)
-    reference = sqrt_path(block[1]).partial_sums[-1]
+    reference = np.cumsum(sqrt_path(block[1]))[-1]
     assert math.isnan(reference.real) and math.isnan(reference.imag)
     assert math.isnan(endpoints[1].real) and math.isnan(endpoints[1].imag)
     assert np.isfinite(endpoints[[0, 2]]).all()

@@ -67,6 +67,22 @@ def test_fig3_rejects_bad_flag_values(tmp_path):
     assert main(["fig3", "--horizon", "-2", "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
 
+# 5e-324 halves to 0, which has no logarithm: the KS coefficient of such an
+# alpha does not exist, and the run is refused before any ensemble is drawn.
+def test_fig3_refuses_an_alpha_whose_half_underflows(tmp_path, monkeypatch, capsys):
+    def no_ensemble(*args):
+        raise AssertionError("the ensemble was simulated")
+
+    monkeypatch.setattr(stochastic, "stream_endpoint_statistics", no_ensemble)
+    out = tmp_path / "x"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("alpha=5e-324\n")
+    for source in (["--alpha", "5e-324"], ["--config", str(cfg)]):
+        assert main(["fig3", *FAST_FIG3, *source, "--out", str(out)]) == EXIT_USAGE
+        assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("horizon", ["inf", "nan"])
 def test_fig3_rejects_non_finite_horizon(tmp_path, horizon):
     out = tmp_path / "x"

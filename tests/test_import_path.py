@@ -1,4 +1,4 @@
-"""The package's import path: lazy public names, and no numpy for triangle or kernels."""
+"""The package's import path: lazy public names, no numpy for triangle or kernels, no scipy."""
 import json
 import os
 import subprocess
@@ -22,12 +22,35 @@ print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
 
-def test_triangle_and_kernels_never_import_numpy(tmp_path):
+def run_fresh(script: str, out) -> dict:
+    """Run ``script`` in a new interpreter and return the JSON of its last line."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    result = subprocess.run([sys.executable, "-c", NUMPY_FREE_RUN, str(tmp_path)], env=env,
+    result = subprocess.run([sys.executable, "-c", script, str(out)], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
-    report = json.loads(result.stdout.strip().splitlines()[-1])
-    assert report == {"codes": [0, 0], "numpy": False}
+    return json.loads(result.stdout.strip().splitlines()[-1])
+
+
+def test_triangle_and_kernels_never_import_numpy(tmp_path):
+    assert run_fresh(NUMPY_FREE_RUN, tmp_path) == {"codes": [0, 0], "numpy": False}
+
+
+# scipy is a test-only dependency: no subcommand may load it.
+SCIPY_FREE_RUN = """
+import json, sys
+from parcelwalk.cli import main
+out = sys.argv[1]
+codes = [main(["fig3", "--seed", "1", "--trials", "2000", "--steps", "50", "--bins", "30",
+               "--out", out + "/fig3"]),
+         main(["triangle", "--n-max", "3", "--kind", "both", "--out", out + "/triangle"]),
+         main(["geometry", "--out", out + "/geometry"]),
+         main(["kernels", "--out", out + "/kernels"])]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules
+                                                  if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_no_subcommand_imports_scipy(tmp_path):
+    assert run_fresh(SCIPY_FREE_RUN, tmp_path) == {"codes": [0, 0, 0, 0], "scipy": []}
 
 
 @pytest.mark.parametrize("name", parcelwalk.__all__)

@@ -127,6 +127,9 @@ def test_ks_threshold_values():
     # the asymptotic coefficients behind the thresholds
     assert result.threshold_at(0.05) * math.sqrt(100_000) == pytest.approx(1.358, abs=1e-3)
     assert result.threshold_at(0.01) * math.sqrt(100_000) == pytest.approx(1.628, abs=1e-3)
+    for alpha in (0.0, 5e-324, 1.0, math.nan):
+        with pytest.raises(ValueError, match="alpha"):
+            result.threshold_at(alpha)
 
 
 def test_ks_statistic_in_unit_interval():

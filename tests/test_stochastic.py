@@ -13,12 +13,10 @@ from parcelwalk.stochastic import (
     check_unit_constraint,
     increment_block,
     parcel_from_bernoulli,
-    signs_to_bernoulli,
     sphere_sqrt_step,
     sqrt_endpoint_statistics,
     sqrt_path,
     square_identity_residuals,
-    wick_rotate_samples,
 )
 
 GI, G1, G2, G3 = gamma_basis()
@@ -86,21 +84,16 @@ def test_per_increment_variance_is_horizon_over_steps():
     assert abs(flat.var() - 1.0) <= 5 * math.sqrt(2 / flat.size)
 
 
-def test_signs_to_bernoulli():
-    assert list(signs_to_bernoulli([0.3, -0.1])) == [1, -1]
-    assert list(signs_to_bernoulli([0.0])) == [1]
-
-
 def test_sign_fraction_is_balanced():
     inc = brownian_increments(11, 1, 100_000, 1.0)[0]
-    frac = (signs_to_bernoulli(inc) == 1).mean()
+    frac = (inc >= 0).mean()
     assert 0.494 <= frac <= 0.506
 
 
 def test_parcel_values_and_square_identity():
     assert parcel_from_bernoulli([1]).tolist() == [1 + 0j]
     assert parcel_from_bernoulli([-1]).tolist() == [1j]
-    b = signs_to_bernoulli(brownian_increments(3, 1, 1000, 1.0)[0])
+    b = np.where(brownian_increments(3, 1, 1000, 1.0)[0] >= 0, 1, -1)
     phi = parcel_from_bernoulli(b)
     assert np.array_equal(phi**2, b.astype(np.complex128))
 
@@ -113,21 +106,19 @@ def test_parcel_rejects_non_signs():
 
 
 def test_sqrt_path_single_steps():
-    path = sqrt_path([0.09])
-    assert path.sqrt_increments[0] == pytest.approx(0.3 + 0j, abs=1e-15)
-    assert path.sqrt_increments[0] ** 2 == pytest.approx(0.09, rel=1e-15)
-    path = sqrt_path([-0.04])
-    assert path.sqrt_increments[0] == pytest.approx(0.2j, abs=1e-15)
-    assert path.sqrt_increments[0] ** 2 == pytest.approx(-0.04, rel=1e-15)
-    assert sqrt_path([0.0]).sqrt_increments[0] == 0.0
+    root = sqrt_path([0.09])
+    assert root[0] == pytest.approx(0.3 + 0j, abs=1e-15)
+    assert root[0] ** 2 == pytest.approx(0.09, rel=1e-15)
+    root = sqrt_path([-0.04])
+    assert root[0] == pytest.approx(0.2j, abs=1e-15)
+    assert root[0] ** 2 == pytest.approx(-0.04, rel=1e-15)
+    assert sqrt_path([0.0])[0] == 0.0
 
 
 def test_sqrt_path_square_identity_per_step():
     inc = brownian_increments(13, 1, 5_000, 1.0)[0]
-    path = sqrt_path(inc)
-    resid = np.abs(path.sqrt_increments**2 - inc) / np.maximum(1.0, np.abs(inc))
+    resid = np.abs(sqrt_path(inc)**2 - inc) / np.maximum(1.0, np.abs(inc))
     assert resid.max() <= 1e-15
-    assert np.array_equal(path.partial_sums, np.cumsum(path.sqrt_increments))
 
 
 def test_sqrt_path_rejects_matrices():
@@ -137,16 +128,16 @@ def test_sqrt_path_rejects_matrices():
 
 def test_wick_rotation_examples():
     r = math.sqrt(2) / 2
-    rotated = wick_rotate_samples([1.0 + 0j])
+    rotated = np.array([1.0 + 0j]) * stochastic.WICK_FACTOR
     assert abs(rotated[0] - (r - r * 1j)) <= 1e-15
-    rotated = wick_rotate_samples([1.0 + 1.0j])
+    rotated = np.array([1.0 + 1.0j]) * stochastic.WICK_FACTOR
     assert abs(rotated[0] - math.sqrt(2)) <= 1e-15
 
 
 def test_wick_rotation_is_isometry():
     rng = np.random.default_rng(6)
     z = rng.normal(size=200) + 1j * rng.normal(size=200)
-    assert np.abs(np.abs(wick_rotate_samples(z)) - np.abs(z)).max() <= 1e-13
+    assert np.abs(np.abs(z * stochastic.WICK_FACTOR) - np.abs(z)).max() <= 1e-13
 
 
 def test_endpoint_channels_centered_and_scaled():
@@ -181,8 +172,7 @@ def test_too_few_rows_are_refused_before_any_block_is_reduced(monkeypatch):
 
 def test_path_sums_telescope_to_brownian_endpoint():
     for row in brownian_increments(17, 300, 400, 1.0)[:50]:
-        path = sqrt_path(row)
-        assert abs(np.sum(path.sqrt_increments**2) - row.sum()) <= 1e-14
+        assert abs(np.sum(sqrt_path(row)**2) - row.sum()) <= 1e-14
 
 
 def test_square_identity_residuals_small_ensemble():
@@ -266,7 +256,7 @@ def test_check_unit_constraint_classification():
 def test_sqrt_endpoints_match_wick_rotated_path_sums():
     increments = brownian_increments(29, 150, 32, 1.0)
     real_ch, imag_ch = sqrt_endpoint_statistics(increments)
-    raw = np.array([np.sum(sqrt_path(row).sqrt_increments) for row in increments])
+    raw = np.array([np.sum(sqrt_path(row)) for row in increments])
     rotated = raw * cmath.exp(-1j * math.pi / 4)
     for channel, values in ((real_ch, rotated.real), (imag_ch, rotated.imag)):
         rebuilt = (values - values.mean()) / values.std()

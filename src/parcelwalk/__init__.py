@@ -21,7 +21,6 @@ _EXPORTS = {
         "dirac_symbol_square",
         "gamma_basis",
         "pauli_basis",
-        "pauli_coefficients",
         "scalar_decompose",
     ),
     "geometry": (
@@ -55,12 +54,9 @@ _EXPORTS = {
     ),
     "stochastic": (
         "EndpointStatistics",
-        "SphereStepParams",
         "brownian_increments",
-        "check_unit_constraint",
         "increment_block",
         "parcel_from_bernoulli",
-        "sphere_sqrt_step",
         "sqrt_endpoint_statistics",
         "sqrt_path",
         "square_identity_residuals",

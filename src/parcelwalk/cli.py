@@ -449,6 +449,19 @@ def cmd_geometry(args: argparse.Namespace) -> int:
                                 ("seed", seed, 0, 2**128 - 1)):
         if not lo <= value <= hi:
             raise UsageError(f"{name} must be in [{lo}, {hi}], got {value}")
+    if report in ("oscillator", "all"):
+        # Every value of a row grows with n, so the end rows bound them all.
+        n_max = args.oscillator_n_max
+        energy = (n_max + 0.5) * hbar * omega
+        try:
+            top = geometry.oscillator_volumes(geometry.OscillatorSpec(energy, omega, hbar, n_max))
+            in_range = 0.5 * hbar * omega > 0 and all(
+                map(math.isfinite, (energy, top.classical_volume, top.quantized_volume)))
+        except ValueError:
+            in_range = False
+        if not in_range:
+            raise UsageError(f"--hbar {hbar} and --omega {omega} put an oscillator row "
+                             "out of float range")
     sections = {}
     all_passed = True
 
@@ -558,6 +571,17 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     spec = kernels.KernelSpec(diffusion_D=diffusion, hbar=hbar, mass_m=mass)
     xs = _linspace(-4.0, 4.0, _KERNEL_GRID["n_x"])
     ts = _linspace(0.1, 2.5, _KERNEL_GRID["n_t"])
+    # 4*pi*D*t, m/(2*pi*hbar*t) and the phase m*x**2/(2*hbar*t) at the grid's edges
+    t_lo, t_hi = ts[0], ts[-1]
+    try:
+        edges = (4.0 * math.pi * diffusion * t_lo, 4.0 * math.pi * diffusion * t_hi,
+                 mass / (2.0 * math.pi * hbar * t_lo), mass / (2.0 * math.pi * hbar * t_hi),
+                 mass * xs[0] * xs[0] / (2.0 * hbar * t_lo))
+    except ZeroDivisionError:
+        edges = (0.0,)
+    if not all(sys.float_info.min <= value < math.inf for value in edges):
+        raise UsageError(f"--hbar {hbar} and --mass {mass} take a kernel argument "
+                         "out of the normal float range on the grid")
     grid = [(x, t) for t in ts for x in xs]
     with _RunDir(args.out) as run:
         _write_csv(run.path("heat_kernel_grid.csv"), ["x", "t", "re", "im"],

@@ -37,16 +37,6 @@ def gamma_basis() -> tuple[CliffordElement, CliffordElement, CliffordElement, Cl
     return pauli_basis()
 
 
-def pauli_coefficients(a: CliffordElement) -> tuple[complex, complex, complex, complex]:
-    """Coefficients of ``a`` in the basis (I, sigma1, sigma2, sigma3).
-
-    Uses tr(sigma_i sigma_j) = 2 delta_ij; exact for the decomposition of
-    any 2x2 complex matrix.
-    """
-    identity, s1, s2, s3 = pauli_basis()
-    return tuple(complex(np.trace(g @ a)) / 2.0 for g in (identity, s1, s2, s3))
-
-
 def scalar_decompose(a):
     """Split ``a`` into ``c*I + R`` and return ``(c, ||R||_F)``.
 

@@ -120,8 +120,8 @@ def oscillator_volumes(spec: OscillatorSpec) -> OscillatorVolumes:
     a = math.sqrt(2.0 * spec.energy_E)
     try:
         b = math.sqrt(2.0 * spec.energy_E / spec.omega**2)
-    except OverflowError:
-        raise ValueError(f"omega**2 overflows a float at omega = {spec.omega}") from None
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"omega**2 overflows or underflows at omega = {spec.omega}") from None
     classical = math.pi * a * b
     quantized = 2.0 * math.pi * (spec.n_quanta + 0.5) * spec.hbar
     return OscillatorVolumes(classical_volume=classical, quantized_volume=quantized)

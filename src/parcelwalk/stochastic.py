@@ -44,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CliffordElement, gamma_basis
 from .ranges import range_bounds, run_in_ranges
 
 # Rotation applied to sampled data: maps the parcel directions 1 and i to
@@ -71,25 +70,6 @@ class EndpointStatistics:
     imag_channel: np.ndarray        # square-root endpoints
     max_step_residual: float        # see square_identity_residuals
     max_path_residual: float
-
-
-@dataclass(frozen=True)
-class SphereStepParams:
-    """Coefficients of the sphere-valued step; all-zero defaults are inert."""
-
-    a: float = 0.0
-    b: float = 0.0
-    c: float = 0.0
-    e: float = 0.0
-    f: float = 0.0
-    g: float = 0.0
-    k: float = 0.0
-    m: float = 0.0
-    dt: float = 1.0
-
-    def __post_init__(self) -> None:
-        if not self.dt > 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
 
 
 def _check_ensemble_args(seed: int, trials: int, steps: int, horizon_T: float) -> None:
@@ -389,44 +369,3 @@ def stream_endpoint_statistics(seed: int, trials: int, steps: int,
                               real_channel=real_channel, imag_channel=imag_channel,
                               max_step_residual=max_step, max_path_residual=max_path)
 
-
-def sphere_sqrt_step(params: SphereStepParams, dU1: float, dU2: float,
-                     gamma0: CliffordElement | None = None) -> CliffordElement:
-    """One sphere-valued step combining the two parcel channels.
-
-    Signs of (dU1, dU2) give Bernoulli values B1, B2 and parcels Phi1, Phi2;
-    the step is g2*(k + a*dt - i*b*dU2*B2)*Phi2 + g1*(m + c*dt -
-    i*e*dU1*B1)*Phi1 + i*gamma0*(f*Phi1 + g*Phi2).  gamma0 is not pinned by
-    the construction; it defaults to the third coordinate-side generator and
-    can be overridden.
-    """
-    _, g1, g2, g3 = gamma_basis()
-    if gamma0 is None:
-        gamma0 = g3
-    b1 = 1.0 if dU1 >= 0 else -1.0
-    b2 = 1.0 if dU2 >= 0 else -1.0
-    phi1 = 1.0 + 0.0j if b1 > 0 else 1.0j
-    phi2 = 1.0 + 0.0j if b2 > 0 else 1.0j
-    coeff2 = (params.k + params.a * params.dt - 1j * params.b * dU2 * b2) * phi2
-    coeff1 = (params.m + params.c * params.dt - 1j * params.e * dU1 * b1) * phi1
-    coeff0 = 1j * (params.f * phi1 + params.g * phi2)
-    return coeff2 * g2 + coeff1 * g1 + coeff0 * gamma0
-
-
-def check_unit_constraint(y: CliffordElement, tol: float) -> tuple[str, float]:
-    """Classify Y**2 against +I / -I within ``tol`` (max-abs entry norm).
-
-    Returns ``("plus_one" | "minus_one" | "violated", residual)`` where the
-    residual is the distance to the nearer of the two targets.
-    """
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    squared = y @ y
-    identity = np.eye(2)
-    r_plus = float(np.abs(squared - identity).max())
-    r_minus = float(np.abs(squared + identity).max())
-    if r_plus <= tol:
-        return "plus_one", r_plus
-    if r_minus <= tol:
-        return "minus_one", r_minus
-    return "violated", min(r_plus, r_minus)

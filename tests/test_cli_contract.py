@@ -56,6 +56,13 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     ["fig3", "--seed", str(2**64), "--trials", "100", "--steps", "4"],
     ["fig3", "--trials", "100000000000", "--steps", "4"],
     ["fig3", "--trials", "100", "--steps", "1", "--horizon", "1e308"],
+    ["geometry", "--report", "oscillator", "--omega", "1e-170"],
+    ["geometry", "--hbar", "1e308"],
+    ["geometry", "--hbar", "1e307", "--oscillator-n-max", "1000"],
+    ["kernels", "--hbar", "1e308"],
+    ["kernels", "--mass", "1e-308"],
+    ["kernels", "--hbar", "1e-307"],
+    ["kernels", "--hbar", "1e-320"],
 ])
 def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
     out = tmp_path / "run"
@@ -69,6 +76,10 @@ def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
     (["--hbar", "inf"], "hbar must"),
     (["--mass", "0"], "mass must"),
     (["--hbar", "1e308", "--mass", "1e-308"], "hbar/(2*mass) must"),
+    (["--hbar", "1e308"], "--hbar 1e+308 and --mass 1.0"),
+    (["--mass", "1e-308"], "--hbar 1.0 and --mass 1e-308"),
+    (["--hbar", "1e-307"], "--hbar 1e-307 and --mass 1.0"),
+    (["--hbar", "1e-320"], "--hbar 1e-320 and --mass 1.0"),
 ])
 def test_kernels_usage_error_names_the_flag_or_the_quotient(tmp_path, capsys, argv, named):
     assert main(["kernels", *argv, "--out", str(tmp_path / "run")]) == EXIT_USAGE

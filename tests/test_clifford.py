@@ -5,7 +5,6 @@ from parcelwalk.clifford import (
     dirac_symbol_square,
     gamma_basis,
     pauli_basis,
-    pauli_coefficients,
     scalar_decompose,
 )
 
@@ -71,14 +70,6 @@ def test_dirac_symbol_square_scalar_law_random():
         scalar, offdiag = dirac_symbol_square(s, u, v)
         assert abs(scalar - (s * s - u * u - v * v)) <= 1e-12
         assert offdiag <= 1e-12
-
-
-def test_pauli_coefficients_reconstruct():
-    rng = np.random.default_rng(10)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    c0, c1, c2, c3 = pauli_coefficients(a)
-    rebuilt = c0 * I + c1 * S1 + c2 * S2 + c3 * S3
-    assert np.abs(rebuilt - a).max() <= 1e-13
 
 
 def test_scalar_decompose_splits_scalar_part():

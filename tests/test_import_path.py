@@ -34,23 +34,29 @@ def test_triangle_and_kernels_never_import_numpy(tmp_path):
     assert run_fresh(NUMPY_FREE_RUN, tmp_path) == {"codes": [0, 0], "numpy": False}
 
 
-# scipy is a test-only dependency: no subcommand may load it.
+# scipy is a test-only dependency: no subcommand may load it.  fig3 loads
+# only the package modules it runs.
 SCIPY_FREE_RUN = """
 import json, sys
 from parcelwalk.cli import main
 out = sys.argv[1]
 codes = [main(["fig3", "--seed", "1", "--trials", "2000", "--steps", "50", "--bins", "30",
-               "--out", out + "/fig3"]),
-         main(["triangle", "--n-max", "3", "--kind", "both", "--out", out + "/triangle"]),
-         main(["geometry", "--out", out + "/geometry"]),
-         main(["kernels", "--out", out + "/kernels"])]
-print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules
-                                                  if m.split(".")[0] == "scipy")}))
+               "--out", out + "/fig3"])]
+fig3_modules = sorted(m for m in sys.modules if m.startswith("parcelwalk."))
+codes += [main(["triangle", "--n-max", "3", "--kind", "both", "--out", out + "/triangle"]),
+          main(["geometry", "--out", out + "/geometry"]),
+          main(["kernels", "--out", out + "/kernels"])]
+print(json.dumps({"codes": codes, "fig3_modules": fig3_modules,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
+
+FIG3_MODULES = ["parcelwalk." + name
+                for name in ("cli", "kernels", "ranges", "stats", "stochastic", "triangle")]
 
 
 def test_no_subcommand_imports_scipy(tmp_path):
-    assert run_fresh(SCIPY_FREE_RUN, tmp_path) == {"codes": [0, 0, 0, 0], "scipy": []}
+    assert run_fresh(SCIPY_FREE_RUN, tmp_path) == {
+        "codes": [0, 0, 0, 0], "fig3_modules": FIG3_MODULES, "scipy": []}
 
 
 @pytest.mark.parametrize("name", parcelwalk.__all__)

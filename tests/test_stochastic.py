@@ -5,21 +5,15 @@ import numpy as np
 import pytest
 
 from parcelwalk import stochastic
-from parcelwalk.clifford import gamma_basis, pauli_coefficients
 from parcelwalk.stats import ks_one_sample, ks_two_sample, std_normal_cdf
 from parcelwalk.stochastic import (
-    SphereStepParams,
     brownian_increments,
-    check_unit_constraint,
     increment_block,
     parcel_from_bernoulli,
-    sphere_sqrt_step,
     sqrt_endpoint_statistics,
     sqrt_path,
     square_identity_residuals,
 )
-
-GI, G1, G2, G3 = gamma_basis()
 
 
 def test_brownian_increments_deterministic():
@@ -202,55 +196,6 @@ def test_channels_normal_at_moderate_scale():
     assert ks_one_sample(real_ch, std_normal_cdf).passes(0.01)
     assert ks_one_sample(imag_ch, std_normal_cdf).passes(0.01)
     assert ks_two_sample(real_ch, imag_ch).passes(0.01)
-
-
-def test_sphere_step_inert_defaults():
-    step = sphere_sqrt_step(SphereStepParams(), dU1=0.4, dU2=-0.2)
-    assert np.abs(step).max() == 0.0
-
-
-def test_sphere_step_drift_only_term():
-    params = SphereStepParams(a=1.0, dt=0.1)
-    step = sphere_sqrt_step(params, dU1=0.5, dU2=0.5)
-    assert np.abs(step - 0.1 * G2).max() <= 1e-15
-
-
-def test_sphere_step_parcel_flips_gamma0_term():
-    params = SphereStepParams(f=1.0)
-    step = sphere_sqrt_step(params, dU1=-0.5, dU2=0.5)
-    # Phi1 = i, so the i*gamma0*f*Phi1 term contributes -gamma0
-    assert np.abs(step - (-G3)).max() <= 1e-15
-
-
-def test_sphere_step_stays_in_generator_span():
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        params = SphereStepParams(*rng.uniform(-1, 1, 8), dt=0.05)
-        step = sphere_sqrt_step(params, dU1=rng.normal(), dU2=rng.normal())
-        c_identity = pauli_coefficients(step)[0]
-        assert abs(c_identity) <= 1e-12
-
-
-def test_sphere_step_custom_gamma0():
-    params = SphereStepParams(f=1.0)
-    step = sphere_sqrt_step(params, dU1=0.5, dU2=0.5, gamma0=GI)
-    assert np.abs(step - 1j * GI).max() <= 1e-15
-
-
-def test_sphere_step_params_require_positive_dt():
-    with pytest.raises(ValueError):
-        SphereStepParams(dt=0.0)
-
-
-def test_check_unit_constraint_classification():
-    verdict, resid = check_unit_constraint(G3, 1e-12)
-    assert verdict == "plus_one" and resid == 0.0
-    verdict, resid = check_unit_constraint(-1j * G1, 1e-12)
-    assert verdict == "minus_one" and resid == 0.0
-    verdict, resid = check_unit_constraint(0.5 * G1, 1e-12)
-    assert verdict == "violated" and resid == pytest.approx(0.75, abs=1e-15)
-    with pytest.raises(ValueError):
-        check_unit_constraint(G3, 0.0)
 
 
 def test_sqrt_endpoints_match_wick_rotated_path_sums():

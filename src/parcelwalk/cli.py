@@ -5,15 +5,15 @@ comparison), ``triangle`` (row dumps and Gaussian-convergence tables),
 ``geometry`` (circle/oscillator/sphere quantization reports), ``kernels``
 (grid dumps and the imaginary-time identity residual).
 
-Each subcommand validates its flags, computes, and writes through one
+The parser checks each flag (a ``fig3 --config`` value too); each subcommand
+checks what two flags set together, computes, and writes through one
 ``_RunDir``.  It owns the output directory: it stages every artifact inside
 it and, once the run has finished, moves them into place with
 ``manifest.json`` last, which holds the resolved configuration and a sha256
-per artifact keyed by bare file name.  A run that fails anywhere before
-that leaves the directory as it was.  It also maps the verdict to the exit
-code.  Re-running with the same configuration reproduces the artifacts byte
-for byte.  JSON artifacts are strict: a non-finite value is an error.  Exit
-codes:
+per artifact keyed by bare file name.  A run that fails anywhere before that
+leaves the directory as it was.  It also maps the verdict to the exit code.
+Re-running with the same configuration reproduces the artifacts byte for
+byte.  JSON artifacts are strict: a non-finite value is an error.  Exit codes:
 0 success, 1 usage (a non-finite result, or a size too large for memory,
 included), 2 statistical failure, 3 I/O failure (a failed ``fig3`` worker
 process included).
@@ -34,7 +34,7 @@ import shutil
 import sys
 import tempfile
 from contextlib import suppress
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from itertools import starmap
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -56,22 +56,39 @@ _STANDARD_RANGE = (-4.5, 4.5)
 # a MiB whatever --sphere-samples is.
 _SPHERE_CHUNK = 1024
 
+# Largest geometry inputs: the circle check's arrays stay near 2.5 MiB, the
+# chunked sphere check near 15 s on a 2-vCPU VM; an oscillator level is a report row.
+MAX_CIRCLE_N = 2**16
+MAX_SPHERE_SAMPLES = 10**7
+MAX_OSCILLATOR_N = 1000
+
 
 class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved configuration for the main experiment; persisted in the manifest."""
+def _checked(name: str, convert, ok, rule: str):
+    """``type=`` of the flag with dest ``name``; argparse lets its ``UsageError`` through."""
+    def parse(text: str):
+        with suppress(ValueError):
+            if ok(value := convert(text)):
+                return value
+        raise UsageError(f"{name} must be {rule}, got {text}")
+    return parse
 
-    seed: int = 42
-    trials: int = 100_000
-    steps: int = 1_000
-    horizon_T: float = 1.0
-    n_bins: int = 60
-    alpha: float = 0.01
-    output_dir: str = "out"
+
+def _int_in(name: str, lo: int, hi: float = math.inf):
+    return _checked(name, int, lambda value: lo <= value <= hi, f"an integer in [{lo}, {hi}]")
+
+
+def _positive_float(name: str):
+    return _checked(name, float, lambda value: value > 0 and math.isfinite(value),
+                    "positive and finite")
+
+
+# as stats._ks_coefficient checks it
+_alpha = _checked("alpha", float, lambda value: 0.0 < value / 2.0 < 0.5,
+                  "in (0, 1) with alpha / 2 > 0")
 
 
 def load_config_file(path: str) -> dict:
@@ -102,36 +119,6 @@ def load_config_file(path: str) -> dict:
         key, value = line.split("=", 1)
         values[key.strip()] = value.strip()
     return values
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults < config file < explicit CLI flags; each flag's dest is its field."""
-    types = {field.name: type(field.default) for field in fields(RunConfig)}
-    merged = {}
-    if args.config:
-        for key, raw in load_config_file(args.config).items():
-            if key not in types:
-                raise UsageError(f"unknown config key: {key}")
-            merged[key] = types[key](raw)
-    for key in types:
-        if getattr(args, key) is not None:
-            merged[key] = getattr(args, key)
-    config = RunConfig(**merged)
-    if not 0 <= config.seed < 2**64:
-        raise UsageError(f"seed must be in [0, 2**64), got {config.seed}")
-    if config.steps < 1 or config.trials < 1:
-        raise UsageError("trials and steps must be >= 1")
-    if not (config.horizon_T > 0 and math.isfinite(config.horizon_T)):
-        raise UsageError("horizon must be positive and finite")
-    if config.n_bins < 1:
-        raise UsageError("bins must be >= 1")
-    if not 0.0 < config.alpha / 2.0 < 0.5:  # as stats._ks_coefficient checks it
-        raise UsageError(f"alpha must be in (0, 1) with alpha / 2 > 0, got {config.alpha}")
-    if config.trials < 100:
-        raise UsageError(
-            f"trials={config.trials} is below the minimum of 100 for endpoint statistics"
-        )
-    return config
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +182,7 @@ class _RunDir:
     checksums do not match its files.  A run that fails before ``finish``
     leaves ``out`` as it was, and none at all if it did not exist.  Manifest
     keys are bare file names (those in ``rows/`` too): the benchmark gate
-    looks them up so.
+    looks them up so; a rerun removes the old run's files it does not rewrite.
     """
 
     def __init__(self, out: str, *subdirs: str) -> None:
@@ -244,23 +231,36 @@ class _RunDir:
             "config_hash": hashlib.sha256(canonical).hexdigest(),
             "artifacts": artifacts,
         })
+        stale = self._stale_files()
         for sub in self.subdirs:
             (self.dir / sub).mkdir(exist_ok=True)
         (self.dir / "manifest.json").unlink(missing_ok=True)
+        for path in stale:
+            path.unlink(missing_ok=True)
         for name in self.names:
             os.replace(self.staging / name, self.dir / name)
         return EXIT_OK if passed else EXIT_STAT
 
-
-def _require_positive_finite(*named: tuple[str, float]) -> None:
-    for name, value in named:
-        if not (value > 0 and math.isfinite(value)):
-            raise UsageError(f"{name} must be positive and finite, got {value}")
+    def _stale_files(self) -> list[Path]:
+        """The old manifest's files, unchanged, that this run does not write (bare names only)."""
+        written = {Path(name).name for name in self.names}
+        try:
+            old = json.loads((self.dir / "manifest.json").read_bytes())["artifacts"]
+            entries = [(name, entry["bytes"], entry["sha256"]) for name, entry in old.items()
+                       if name not in written and name == Path(name).name]
+        except (OSError, ValueError, LookupError, TypeError, AttributeError):
+            return []
+        folders = [self.dir, *(path for path in self.dir.iterdir() if path.is_dir()
+                               and not (path.is_symlink() or path.name.startswith(".staging-")))]
+        return [path for name, size, digest in entries for path in (f / name for f in folders)
+                if path.is_file() and path.stat().st_size == size
+                and hashlib.sha256(path.read_bytes()).hexdigest() == digest]
 
 
 def _flags(args: argparse.Namespace) -> dict:
     """A subcommand's parsed flags, as its manifest records them."""
-    return {key: value for key, value in vars(args).items() if key not in ("command", "run")}
+    return {key: value for key, value in vars(args).items()
+            if key not in ("command", "run", "config")}
 
 
 def _overlay_svg(series: list[tuple[str, str, np.ndarray, np.ndarray]], title: str) -> str:
@@ -313,14 +313,12 @@ def _overlay_svg(series: list[tuple[str, str, np.ndarray, np.ndarray]], title: s
 
 def cmd_fig3(args: argparse.Namespace) -> int:
     """Brownian endpoints vs Wick-rotated square-root channels, with KS verdicts."""
-    config = resolve_config(args)  # before numpy loads: a usage error stays cheap
     import numpy as np
 
     from . import stats, stochastic
 
-    summary = stochastic.stream_endpoint_statistics(
-        config.seed, config.trials, config.steps, config.horizon_T
-    )
+    summary = stochastic.stream_endpoint_statistics(args.seed, args.trials, args.steps,
+                                                    args.horizon_T)
     brownian_scaled = summary.brownian_scaled
     real_ch, imag_ch = summary.real_channel, summary.imag_channel
     max_step, max_path = summary.max_step_residual, summary.max_path_residual
@@ -332,23 +330,23 @@ def cmd_fig3(args: argparse.Namespace) -> int:
              ("sqrt_real_channel", real_ch),
              ("sqrt_imag_channel", imag_ch)]
     for name, samples in named:
-        report = stats.stats_report(samples, stats.std_normal_cdf, config.alpha)
+        report = stats.stats_report(samples, stats.std_normal_cdf, args.alpha)
         reports[name] = asdict(report)
         fits[name] = {"mu": report.mean, "sigma": math.sqrt(report.variance)}
         checks.append({
             "name": f"ks_{name}_vs_normal",
             "statistic": report.ks_statistic,
             "threshold": report.ks_threshold,
-            "alpha": config.alpha,
+            "alpha": args.alpha,
             "passed": report.verdict == "pass",
         })
     two = stats.ks_two_sample(real_ch, imag_ch)
     checks.append({
         "name": "ks_two_sample_channels",
         "statistic": two.statistic,
-        "threshold": two.threshold_at(config.alpha),
-        "alpha": config.alpha,
-        "passed": two.passes(config.alpha),
+        "threshold": two.threshold_at(args.alpha),
+        "alpha": args.alpha,
+        "passed": two.passes(args.alpha),
     })
     # The step residual is relative, so one bound holds at every horizon.
     all_passed = all(c["passed"] for c in checks) and max_step <= 1e-12
@@ -356,12 +354,12 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     curve_x = np.linspace(*_STANDARD_RANGE, 181)
     curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
     series = [("standard normal", "black", curve_x, curve_y)]
-    with _RunDir(config.output_dir) as run:
+    with _RunDir(args.output_dir) as run:
         _write_trial_csv(run.path("endpoints.csv"),
                          ["trial", "brownian_scaled", "real_channel", "imag_channel"],
                          [brownian_scaled, real_ch, imag_ch])
         for (name, samples), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
-            hist = stats.histogram_build(samples, config.n_bins, _STANDARD_RANGE)
+            hist = stats.histogram_build(samples, args.n_bins, _STANDARD_RANGE)
             edges = hist.edges.tolist()
             densities = hist.densities()
             _write_csv(run.path(f"hist_{name}.csv"), ["bin_lo", "bin_hi", "count", "density"],
@@ -377,7 +375,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
             "gaussian_fits": fits,
             "channel_reports": reports,
         })
-        return run.finish("fig3", asdict(config), all_passed)
+        return run.finish("fig3", _flags(args), all_passed)
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
@@ -388,8 +386,6 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     and sup errors (against one Gaussian row per ``n``) read those profiles.
     """
     n_max, kind = args.n_max, args.kind
-    if not 1 <= n_max <= triangle.MAX_ROW:
-        raise UsageError(f"n_max must be in [1, {triangle.MAX_ROW}], got {n_max}")
     kinds = ["classical", "quantum"] if kind == "both" else [kind]
     with _RunDir(args.out, "rows") as run:
         def dump(row: triangle.TriangleRow) -> None:
@@ -432,7 +428,8 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 def cmd_geometry(args: argparse.Namespace) -> int:
     """JSON quantization reports for the circle, oscillator, and sphere checks.
 
-    Every flag is checked before anything is computed.
+    The float range of the oscillator rows, which ``--hbar`` and ``--omega``
+    set together, is checked before anything is computed.
     """
     import numpy as np
 
@@ -440,15 +437,6 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 
     report, circle_n, hbar, omega = args.report, args.circle_n, args.hbar, args.omega
     sphere_samples, seed = args.sphere_samples, args.seed
-    _require_positive_finite(("hbar", hbar), ("omega", omega))
-    for name, value, lo, hi in (("circle_n", circle_n, 4, geometry.MAX_CIRCLE_N),
-                                ("oscillator_n_max", args.oscillator_n_max, 0,
-                                 geometry.MAX_OSCILLATOR_N),
-                                ("sphere_samples", sphere_samples, 1,
-                                 geometry.MAX_SPHERE_SAMPLES),
-                                ("seed", seed, 0, 2**128 - 1)):
-        if not lo <= value <= hi:
-            raise UsageError(f"{name} must be in [{lo}, {hi}], got {value}")
     if report in ("oscillator", "all"):
         # Every value of a row grows with n, so the end rows bound them all.
         n_max = args.oscillator_n_max
@@ -565,9 +553,9 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     The diffusion coefficient is the one the identity holds for, D = hbar/(2m).
     """
     hbar, mass = args.hbar, args.mass
-    _require_positive_finite(("hbar", hbar), ("mass", mass))
     diffusion = hbar / (2 * mass)
-    _require_positive_finite(("hbar/(2*mass)", diffusion))
+    if not (diffusion > 0 and math.isfinite(diffusion)):
+        raise UsageError(f"hbar/(2*mass) must be positive and finite, got {diffusion}")
     spec = kernels.KernelSpec(diffusion_D=diffusion, hbar=hbar, mass_m=mass)
     xs = _linspace(-4.0, 4.0, _KERNEL_GRID["n_x"])
     ts = _linspace(0.1, 2.5, _KERNEL_GRID["n_t"])
@@ -611,30 +599,28 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    # Each dest is a RunConfig field; unset flags stay None for resolve_config.
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--trials", type=int)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--horizon", type=float, dest="horizon_T", metavar="HORIZON")
-    parser.add_argument("--bins", type=int, dest="n_bins", metavar="BINS")
-    parser.add_argument("--alpha", type=float)
-    parser.add_argument("--out", dest="output_dir", metavar="OUT")
-    parser.add_argument("--config")
-
-
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(fig3_config: dict | None = None) -> argparse.ArgumentParser:
+    """The parser; ``fig3_config``'s text values, which argparse checks as flags, are defaults."""
     parser = _Parser(prog="parcelwalk",
                      description="Square roots of Brownian motion and quantized-geometry checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
     fig3 = sub.add_parser("fig3", help="Brownian vs rotated square-root comparison")
-    fig3.set_defaults(run=cmd_fig3)
-    _add_run_flags(fig3)
+    fig3.add_argument("--seed", type=_int_in("seed", 0, 2**64 - 1), default=42)
+    fig3.add_argument("--trials", type=_int_in("trials", 100), default=100_000)
+    fig3.add_argument("--steps", type=_int_in("steps", 1), default=1_000)
+    fig3.add_argument("--horizon", type=_positive_float("horizon_T"), default=1.0,
+                      dest="horizon_T", metavar="HORIZON")
+    fig3.add_argument("--bins", type=_int_in("n_bins", 1), default=60,
+                      dest="n_bins", metavar="BINS")
+    fig3.add_argument("--alpha", type=_alpha, default=0.01)
+    fig3.add_argument("--out", default="out", dest="output_dir", metavar="OUT")
+    fig3.add_argument("--config")
+    fig3.set_defaults(run=cmd_fig3, **(fig3_config or {}))
 
     tri = sub.add_parser("triangle", help="triangle rows and convergence tables")
     tri.set_defaults(run=cmd_triangle)
-    tri.add_argument("--n-max", type=int, default=50)
+    tri.add_argument("--n-max", type=_int_in("n_max", 1, triangle.MAX_ROW), default=50)
     tri.add_argument("--kind", choices=["classical", "quantum", "both"], default="both")
     tri.add_argument("--out", type=str, default="out")
 
@@ -642,18 +628,20 @@ def build_parser() -> argparse.ArgumentParser:
     geo.set_defaults(run=cmd_geometry)
     geo.add_argument("--report", choices=["circle", "oscillator", "sphere", "all"],
                      default="all")
-    geo.add_argument("--circle-n", type=int, default=64)
-    geo.add_argument("--oscillator-n-max", type=int, default=10)
-    geo.add_argument("--hbar", type=float, default=1.0)
-    geo.add_argument("--omega", type=float, default=1.0)
-    geo.add_argument("--sphere-samples", type=int, default=1000)
-    geo.add_argument("--seed", type=int, default=42)
+    geo.add_argument("--circle-n", type=_int_in("circle_n", 4, MAX_CIRCLE_N), default=64)
+    geo.add_argument("--oscillator-n-max", type=_int_in("oscillator_n_max", 0, MAX_OSCILLATOR_N),
+                     default=10)
+    geo.add_argument("--hbar", type=_positive_float("hbar"), default=1.0)
+    geo.add_argument("--omega", type=_positive_float("omega"), default=1.0)
+    geo.add_argument("--sphere-samples", type=_int_in("sphere_samples", 1, MAX_SPHERE_SAMPLES),
+                     default=1000)
+    geo.add_argument("--seed", type=_int_in("seed", 0, 2**128 - 1), default=42)
     geo.add_argument("--out", type=str, default="out")
 
     ker = sub.add_parser("kernels", help="kernel grid dumps and identity residual")
     ker.set_defaults(run=cmd_kernels)
-    ker.add_argument("--hbar", type=float, default=1.0)
-    ker.add_argument("--mass", type=float, default=1.0)
+    ker.add_argument("--hbar", type=_positive_float("hbar"), default=1.0)
+    ker.add_argument("--mass", type=_positive_float("mass"), default=1.0)
     ker.add_argument("--out", type=str, default="out")
 
     return parser
@@ -662,6 +650,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "config", None) is not None:  # fig3: flags > config > defaults
+            config = load_config_file(args.config)
+            if unknown := [key for key in config if key not in _flags(args)]:
+                raise UsageError(f"unknown config key: {unknown[0]}")
+            args = build_parser(config).parse_args(argv)
         return args.run(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

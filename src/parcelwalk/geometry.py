@@ -18,14 +18,6 @@ import numpy as np
 
 from .clifford import CliffordElement, gamma_basis, scalar_decompose
 
-# Largest inputs the command line accepts.  The circle check holds a few
-# arrays of N entries (about 2.5 MiB at the cap).  The sphere check runs in
-# fixed chunks, so its cap bounds the running time (about 15 s on a 2-vCPU
-# VM), not memory.  Each oscillator level is one row of the JSON report.
-MAX_CIRCLE_N = 2**16
-MAX_SPHERE_SAMPLES = 10**7
-MAX_OSCILLATOR_N = 1000
-
 
 @dataclass(frozen=True)
 class CircleModel:
@@ -118,10 +110,10 @@ def oscillator_volumes(spec: OscillatorSpec) -> OscillatorVolumes:
     exactly when E = (n + 1/2)*hbar*omega.
     """
     a = math.sqrt(2.0 * spec.energy_E)
-    try:
-        b = math.sqrt(2.0 * spec.energy_E / spec.omega**2)
-    except (OverflowError, ZeroDivisionError):
-        raise ValueError(f"omega**2 overflows or underflows at omega = {spec.omega}") from None
+    # omega**2 is a finite normal float exactly on this range; a subnormal one has lost bits.
+    if not 2.0**-511 <= spec.omega < 2.0**512:
+        raise ValueError(f"omega**2 overflows or is not a normal float at omega = {spec.omega}")
+    b = math.sqrt(2.0 * spec.energy_E / spec.omega**2)
     classical = math.pi * a * b
     quantized = 2.0 * math.pi * (spec.n_quanta + 0.5) * spec.hbar
     return OscillatorVolumes(classical_volume=classical, quantized_volume=quantized)

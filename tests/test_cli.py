@@ -11,7 +11,7 @@ from parcelwalk.cli import (
     EXIT_OK,
     EXIT_STAT,
     EXIT_USAGE,
-    RunConfig,
+    build_parser,
     load_config_file,
     main,
 )
@@ -80,6 +80,28 @@ def test_fig3_refuses_an_alpha_whose_half_underflows(tmp_path, monkeypatch, caps
     for source in (["--alpha", "5e-324"], ["--config", str(cfg)]):
         assert main(["fig3", *FAST_FIG3, *source, "--out", str(out)]) == EXIT_USAGE
         assert "alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# A config value goes through its flag's check.
+@pytest.mark.parametrize("key, flag, value", [
+    ("seed", "--seed", str(2**64)),
+    ("trials", "--trials", "10"),
+    ("steps", "--steps", "0"),
+    ("horizon_T", "--horizon", "inf"),
+    ("n_bins", "--bins", "0"),
+    ("alpha", "--alpha", "1.5"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_each_fig3_config_key_is_checked_like_its_flag(tmp_path, capsys, key, flag, value,
+                                                       source):
+    out = tmp_path / "x"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    given = [flag, value] if source == "flag" else ["--config", str(cfg)]
+    assert main(["fig3", *given, "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must") and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -181,8 +203,10 @@ def test_fig3_verdict_embeds_channel_reports(tmp_path):
 
 def test_config_file_rejects_unknown_keys(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("sede=9\n")
-    assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
+    # the config file cannot name itself or replace the command
+    for key in ("sede", "config", "run", "command"):
+        cfg.write_text(f"{key}=9\n")
+        assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
     cfg.write_text("just a line\n")
     assert main(["fig3", "--config", str(cfg), "--out", str(tmp_path / "x")]) == EXIT_USAGE
 
@@ -194,7 +218,7 @@ def test_load_config_file_parses_values(tmp_path):
 
 
 def test_run_config_defaults_match_documented_experiment():
-    config = RunConfig()
+    config = build_parser().parse_args(["fig3"])
     assert (config.seed, config.trials, config.steps, config.horizon_T) == \
         (42, 100_000, 1_000, 1.0)
     assert config.alpha == 0.01

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from parcelwalk import geometry, kernels
+from parcelwalk import cli, kernels
 from parcelwalk.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -44,10 +44,10 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     ["geometry", "--hbar", "inf"],
     ["geometry", "--hbar", "1e300", "--omega", "1e10"],
     ["geometry", "--report", "oscillator", "--oscillator-n-max", "-5"],
-    ["geometry", "--oscillator-n-max", str(geometry.MAX_OSCILLATOR_N + 1)],
+    ["geometry", "--oscillator-n-max", str(cli.MAX_OSCILLATOR_N + 1)],
     ["geometry", "--circle-n", "100000"],
     ["geometry", "--circle-n", "3"],
-    ["geometry", "--sphere-samples", str(geometry.MAX_SPHERE_SAMPLES + 1)],
+    ["geometry", "--sphere-samples", str(cli.MAX_SPHERE_SAMPLES + 1)],
     ["geometry", "--seed", "-1"],
     ["kernels", "--hbar", "1e308", "--mass", "1e-308"],
     ["kernels", "--hbar", "inf"],
@@ -63,6 +63,11 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     ["kernels", "--mass", "1e-308"],
     ["kernels", "--hbar", "1e-307"],
     ["kernels", "--hbar", "1e-320"],
+    ["geometry", "--omega", "1e-160"],
+    ["triangle", "--n-max", "0"],
+    ["triangle", "--n-max", "1001"],
+    ["fig3", "--steps", "0"],
+    ["fig3", "--bins", "0"],
 ])
 def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
     out = tmp_path / "run"
@@ -88,8 +93,8 @@ def test_kernels_usage_error_names_the_flag_or_the_quotient(tmp_path, capsys, ar
 
 
 @pytest.mark.parametrize("report, flag, cap", [
-    ("circle", "--circle-n", geometry.MAX_CIRCLE_N),
-    ("oscillator", "--oscillator-n-max", geometry.MAX_OSCILLATOR_N),
+    ("circle", "--circle-n", cli.MAX_CIRCLE_N),
+    ("oscillator", "--oscillator-n-max", cli.MAX_OSCILLATOR_N),
 ])
 def test_geometry_accepts_each_size_at_its_cap(tmp_path, report, flag, cap):
     assert main(["geometry", "--report", report, flag, str(cap),

@@ -1,4 +1,4 @@
-"""The package's import path: lazy public names, no numpy for triangle or kernels, no scipy."""
+"""The package's import path: lazy public names, no numpy for triangle, kernels or a refused flag, no scipy."""
 import json
 import os
 import subprocess
@@ -11,13 +11,16 @@ import parcelwalk
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+# The parser checks each flag, so a refused geometry or fig3 flag loads no numpy either.
 NUMPY_FREE_RUN = """
 import json, sys
 import parcelwalk.ranges
 from parcelwalk.cli import main
 out = sys.argv[1]
 codes = [main(["triangle", "--n-max", "3", "--kind", "both", "--out", out + "/triangle"]),
-         main(["kernels", "--out", out + "/kernels"])]
+         main(["kernels", "--out", out + "/kernels"]),
+         main(["geometry", "--circle-n", "3", "--out", out + "/geometry"]),
+         main(["fig3", "--trials", "10", "--out", out + "/fig3"])]
 print(json.dumps({"codes": codes, "numpy": "numpy" in sys.modules}))
 """
 
@@ -31,7 +34,7 @@ def run_fresh(script: str, out) -> dict:
 
 
 def test_triangle_and_kernels_never_import_numpy(tmp_path):
-    assert run_fresh(NUMPY_FREE_RUN, tmp_path) == {"codes": [0, 0], "numpy": False}
+    assert run_fresh(NUMPY_FREE_RUN, tmp_path) == {"codes": [0, 0, 1, 1], "numpy": False}
 
 
 # scipy is a test-only dependency: no subcommand may load it.  fig3 loads

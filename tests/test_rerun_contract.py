@@ -183,3 +183,42 @@ def test_no_staging_directory_is_left_behind(tmp_path, monkeypatch):
     assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_IO
     assert not list(out.rglob(".staging-*"))
     assert_manifest_absent_or_current(out)
+
+
+def test_a_rerun_removes_the_old_runs_files_it_does_not_write(tmp_path):
+    out = tmp_path / "run"
+    assert main(["triangle", "--n-max", "9", "--out", str(out)]) == EXIT_OK
+    assert main(["triangle", "--n-max", "5", "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    files = sorted(p.name for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
+    assert files == sorted(manifest["artifacts"])
+    assert len(files) == 14
+    assert_manifest_absent_or_current(out)
+
+
+def test_a_rerun_keeps_a_stale_file_that_was_edited(tmp_path):
+    out = tmp_path / "run"
+    assert main(["triangle", "--n-max", "9", "--out", str(out)]) == EXIT_OK
+    edited = out / "rows" / "quantum_n0009.csv"
+    edited.write_text("mine\n", encoding="utf-8")
+    assert main(["triangle", "--n-max", "5", "--out", str(out)]) == EXIT_OK
+    assert edited.read_text(encoding="utf-8") == "mine\n"
+    assert not (out / "rows" / "quantum_n0008.csv").exists()
+
+
+def test_a_planted_manifest_key_deletes_nothing_outside_out(tmp_path):
+    out = tmp_path / "run"
+    outside = tmp_path / "x"
+    outside.write_bytes(b"outside\n")
+    assert main([*KERNELS_ARGS, "--out", str(out)]) == EXIT_OK
+    path = out / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["artifacts"]["../x"] = {"sha256": hashlib.sha256(b"outside\n").hexdigest(),
+                                     "bytes": 8}
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_OK
+    assert outside.read_bytes() == b"outside\n"
+    # an old manifest that does not parse removes nothing and fails nothing
+    path.write_text("{not json", encoding="utf-8")
+    assert main([*KERNELS_ARGS, "--out", str(out)]) == EXIT_OK
+    assert (out / "sup_error.csv").exists()

@@ -57,7 +57,7 @@ _STANDARD_RANGE = (-4.5, 4.5)
 _SPHERE_CHUNK = 1024
 
 # Largest geometry inputs: the circle check's arrays stay near 2.5 MiB, the
-# chunked sphere check near 15 s on a 2-vCPU VM; an oscillator level is a report row.
+# chunked sphere check near 10 s on a 2-vCPU VM; an oscillator level is a report row.
 MAX_CIRCLE_N = 2**16
 MAX_SPHERE_SAMPLES = 10**7
 MAX_OSCILLATOR_N = 1000
@@ -180,9 +180,10 @@ class _RunDir:
     files, then moves them into ``out`` with ``manifest.json`` last, after
     the old manifest is gone, so ``out`` never holds a manifest whose
     checksums do not match its files.  A run that fails before ``finish``
-    leaves ``out`` as it was, and none at all if it did not exist.  Manifest
-    keys are bare file names (those in ``rows/`` too): the benchmark gate
-    looks them up so; a rerun removes the old run's files it does not rewrite.
+    leaves ``out`` as it was, and removes ``out`` and each parent of it that
+    it created.  Manifest keys are bare file names (those in ``rows/`` too):
+    the benchmark gate looks them up so; a rerun removes the old run's files
+    it does not rewrite.
     """
 
     def __init__(self, out: str, *subdirs: str) -> None:
@@ -191,7 +192,8 @@ class _RunDir:
         self.names: list[str] = []
 
     def __enter__(self) -> _RunDir:
-        self.created = not self.dir.exists()
+        # ``out`` and each missing ancestor, bottom up
+        self.created = [path for path in (self.dir, *self.dir.parents) if not path.exists()]
         self.dir.mkdir(parents=True, exist_ok=True)
         # Inside ``out``, so that every move in ``finish`` stays on one filesystem.
         self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.dir))
@@ -202,9 +204,9 @@ class _RunDir:
     def __exit__(self, *exc_info) -> None:
         # A forked worker leaves through os._exit and never gets here.
         shutil.rmtree(self.staging, ignore_errors=True)
-        if self.created:
-            with suppress(OSError):  # not empty: this run finished
-                self.dir.rmdir()
+        with suppress(OSError):  # stops at the first that is not empty: a finished run
+            for path in self.created:
+                path.rmdir()
 
     def path(self, name: str) -> Path:
         """Staged path of the artifact ``name`` (relative to the directory), to be written next."""
@@ -428,8 +430,9 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 def cmd_geometry(args: argparse.Namespace) -> int:
     """JSON quantization reports for the circle, oscillator, and sphere checks.
 
-    The float range of the oscillator rows, which ``--hbar`` and ``--omega``
-    set together, is checked before anything is computed.
+    Each oscillator row is checked where it is built: a row that ``--hbar``
+    and ``--omega`` take out of float range is a usage error, raised before
+    the other sections run and before ``--out`` exists.
     """
     import numpy as np
 
@@ -437,21 +440,33 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 
     report, circle_n, hbar, omega = args.report, args.circle_n, args.hbar, args.omega
     sphere_samples, seed = args.sphere_samples, args.seed
-    if report in ("oscillator", "all"):
-        # Every value of a row grows with n, so the end rows bound them all.
-        n_max = args.oscillator_n_max
-        energy = (n_max + 0.5) * hbar * omega
-        try:
-            top = geometry.oscillator_volumes(geometry.OscillatorSpec(energy, omega, hbar, n_max))
-            in_range = 0.5 * hbar * omega > 0 and all(
-                map(math.isfinite, (energy, top.classical_volume, top.quantized_volume)))
-        except ValueError:
-            in_range = False
-        if not in_range:
-            raise UsageError(f"--hbar {hbar} and --omega {omega} put an oscillator row "
-                             "out of float range")
     sections = {}
-    all_passed = True
+
+    if report in ("oscillator", "all"):
+        rows = []
+        for n in range(args.oscillator_n_max + 1):
+            energy = (n + 0.5) * hbar * omega
+            try:
+                spec = geometry.OscillatorSpec(energy, omega, hbar, n)
+                volumes = geometry.oscillator_volumes(spec)
+                in_range = all(map(math.isfinite, (
+                    energy, volumes.classical_volume, volumes.quantized_volume)))
+            except ValueError:
+                in_range = False
+            if not in_range:
+                raise UsageError(f"--hbar {hbar} and --omega {omega} put an oscillator row "
+                                 "out of float range")
+            gap = abs(volumes.classical_volume - volumes.quantized_volume)
+            rows.append({
+                "n": n,
+                "energy": energy,
+                "classical_volume": volumes.classical_volume,
+                "quantized_volume": volumes.quantized_volume,
+                "gap": gap,
+                "passed": gap <= 1e-12 * max(1.0, volumes.classical_volume),
+            })
+        sections["oscillator"] = {"hbar": hbar, "omega": omega, "rows": rows,
+                                  "passed": all(row["passed"] for row in rows)}
 
     if report in ("circle", "all"):
         model = geometry.circle_model(circle_n)
@@ -460,37 +475,14 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         for length in (2.0 * math.pi, 4.0 * math.pi, 7.0):
             n = geometry.length_quantization_check(length, tol=1e-6)
             lengths[repr(float(length))] = n
-        passed = interior <= 1e-10 and wrap == 1 - circle_n
         sections["circle"] = {
             "n_points": circle_n,
             "interior_residual": interior,
             "wrap_value": wrap,
             "expected_wrap": 1 - circle_n,
             "length_checks": lengths,
-            "passed": passed,
+            "passed": interior <= 1e-10 and wrap == 1 - circle_n,
         }
-        all_passed &= passed
-
-    if report in ("oscillator", "all"):
-        rows = []
-        passed = True
-        for n in range(args.oscillator_n_max + 1):
-            energy = (n + 0.5) * hbar * omega
-            spec = geometry.OscillatorSpec(energy_E=energy, omega=omega, hbar=hbar, n_quanta=n)
-            volumes = geometry.oscillator_volumes(spec)
-            gap = abs(volumes.classical_volume - volumes.quantized_volume)
-            ok = gap <= 1e-12 * max(1.0, volumes.classical_volume)
-            passed &= ok
-            rows.append({
-                "n": n,
-                "energy": energy,
-                "classical_volume": volumes.classical_volume,
-                "quantized_volume": volumes.quantized_volume,
-                "gap": gap,
-                "passed": ok,
-            })
-        sections["oscillator"] = {"hbar": hbar, "omega": omega, "rows": rows, "passed": passed}
-        all_passed &= passed
 
     if report in ("sphere", "all"):
         # One generator drawn chunk by chunk gives the bytes of one
@@ -501,16 +493,12 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         for start in range(0, sphere_samples, _SPHERE_CHUNK):
             u = rng.uniform(-1.0, 1.0, size=(min(_SPHERE_CHUNK, sphere_samples - start), 3))
             scalar, offdiag = geometry.sphere_map_square(u)
-            # Squares through libm pow, as ``x ** 2`` on a Python or numpy
-            # scalar does; numpy's array power rounds about 0.1% of them
-            # differently.
-            squares = np.array([x ** 2 for x in u.ravel().tolist()]).reshape(u.shape)
+            squares = u * u
             expected = squares[:, 2] - squares[:, 0] - squares[:, 1]
             gap = scalar - expected
             worst_offdiag = max(worst_offdiag, float(offdiag.max()))
             worst_scalar_gap = max(worst_scalar_gap, float(np.hypot(gap.real, gap.imag).max()))
             n_plus += int(np.count_nonzero(expected > 0))
-        passed = worst_offdiag <= 1e-12 and worst_scalar_gap <= 1e-12
         sections["sphere"] = {
             "samples": sphere_samples,
             "seed": seed,
@@ -518,10 +506,10 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             "minus_one_fraction": (sphere_samples - n_plus) / sphere_samples,
             "max_offdiag_residual": worst_offdiag,
             "max_scalar_gap": worst_scalar_gap,
-            "passed": passed,
+            "passed": worst_offdiag <= 1e-12 and worst_scalar_gap <= 1e-12,
         }
-        all_passed &= passed
 
+    all_passed = all(section["passed"] for section in sections.values())
     with _RunDir(args.out) as run:
         run.write_json("geometry_report.json", {"sections": sections, "all_passed": all_passed})
         return run.finish("geometry", _flags(args), all_passed)

@@ -79,6 +79,9 @@ def _check_ensemble_args(seed: int, trials: int, steps: int, horizon_T: float) -
         raise ValueError(f"trials and steps must be >= 1, got {trials}, {steps}")
     if not (horizon_T > 0 and math.isfinite(horizon_T)):
         raise ValueError(f"horizon_T must be positive and finite, got {horizon_T}")
+    if not horizon_T / steps > 0:
+        raise ValueError(f"the step variance horizon_T / steps = {horizon_T} / {steps} "
+                         "rounds to 0")
 
 
 def _block_rows(steps: int) -> int:

@@ -160,6 +160,15 @@ def test_streaming_guards():
             stream_endpoint_statistics(1, 200, 8, horizon)
 
 
+def test_a_step_variance_that_rounds_to_zero_is_refused_before_any_row(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a row source was built")
+
+    monkeypatch.setattr(stochastic, "_row_source", no_rows)
+    with pytest.raises(ValueError, match="horizon_T / steps"):
+        stream_endpoint_statistics(1, 200, 8, 5e-324)
+
+
 def test_too_few_trials_are_refused_before_any_row_is_generated(monkeypatch):
     def no_rows(*args):
         raise AssertionError("a row source was built")

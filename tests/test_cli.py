@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from parcelwalk import kernels, stochastic, triangle
+from parcelwalk import geometry, kernels, stochastic, triangle
 from parcelwalk.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -15,6 +15,7 @@ from parcelwalk.cli import (
     load_config_file,
     main,
 )
+from parcelwalk.geometry import oscillator_volumes
 from parcelwalk.triangle import gaussian_approx_row
 
 FAST_FIG3 = ["--seed", "1", "--trials", "2000", "--steps", "50", "--bins", "30"]
@@ -264,6 +265,20 @@ def test_triangle_builds_one_gaussian_row_per_n(tmp_path, monkeypatch):
     out = tmp_path / "tri"
     assert main(["triangle", "--n-max", "12", "--kind", "both", "--out", str(out)]) == EXIT_OK
     assert calls == list(range(1, 13))
+
+
+def test_geometry_builds_each_oscillator_row_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec.n_quanta)
+        return oscillator_volumes(spec)
+
+    monkeypatch.setattr(geometry, "oscillator_volumes", counted)
+    out = tmp_path / "geo"
+    argv = ["geometry", "--report", "oscillator", "--oscillator-n-max", "10", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert calls == list(range(11))
 
 
 def test_triangle_range_guard(tmp_path):

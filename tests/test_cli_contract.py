@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from parcelwalk import cli, kernels
+from parcelwalk import cli, geometry, kernels
 from parcelwalk.cli import EXIT_OK, EXIT_USAGE, main
 
 
@@ -18,6 +18,12 @@ def test_nan_residual_fails_without_writing_verdict_or_manifest(tmp_path, monkey
     assert not (out / "manifest.json").exists()
     for path in out.rglob("*"):
         assert "NaN" not in path.read_text(encoding="utf-8")
+
+
+def test_failed_first_run_leaves_no_parent_directory_it_made(tmp_path, monkeypatch):
+    monkeypatch.setattr(kernels, "wick_identity_residual", lambda *args: float("nan"))
+    assert main(["kernels", "--out", str(tmp_path / "a" / "b" / "c")]) == EXIT_USAGE
+    assert not (tmp_path / "a").exists()
 
 
 def test_written_json_is_strict(tmp_path):
@@ -68,12 +74,29 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     ["triangle", "--n-max", "1001"],
     ["fig3", "--steps", "0"],
     ["fig3", "--bins", "0"],
+    ["fig3", "--trials", "100", "--steps", "3", "--horizon", "5e-324"],
 ])
 def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_an_oscillator_row_out_of_range_is_a_usage_error_where_it_is_built(
+        tmp_path, capsys, monkeypatch):
+    original = geometry.oscillator_volumes
+
+    def failing_at_row_5(spec):
+        if spec.n_quanta == 5:
+            raise ValueError("row 5 out of range")
+        return original(spec)
+
+    monkeypatch.setattr(geometry, "oscillator_volumes", failing_at_row_5)
+    out = tmp_path / "geo"
+    assert main(["geometry", "--oscillator-n-max", "10", "--out", str(out)]) == EXIT_USAGE
+    assert "--hbar 1.0 and --omega 1.0 put an oscillator row" in capsys.readouterr().err
     assert not out.exists()
 
 

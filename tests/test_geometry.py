@@ -128,7 +128,7 @@ def whole_array_sphere_section(samples, seed):
     rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
     u = rng.uniform(-1.0, 1.0, size=(samples, 3))
     scalar, offdiag = sphere_map_square(u)
-    squares = np.array([x ** 2 for x in u.ravel().tolist()]).reshape(u.shape)
+    squares = u * u
     expected = squares[:, 2] - squares[:, 0] - squares[:, 1]
     gap = scalar - expected
     worst_offdiag = float(offdiag.max())
@@ -145,17 +145,25 @@ def whole_array_sphere_section(samples, seed):
     }
 
 
-@pytest.mark.parametrize("extra", [-1, 0, 1, cli._SPHERE_CHUNK + 1])
-def test_chunked_sphere_report_matches_the_whole_array(tmp_path, extra):
-    samples = cli._SPHERE_CHUNK + extra
-    out = tmp_path / "geo"
+def assert_sphere_report_is_the_whole_array(out, samples, seed):
     args = ["geometry", "--report", "sphere", "--sphere-samples", str(samples),
-            "--seed", "5", "--out", str(out)]
+            "--seed", str(seed), "--out", str(out)]
     assert cli.main(args) == cli.EXIT_OK
-    section = whole_array_sphere_section(samples, 5)
+    section = whole_array_sphere_section(samples, seed)
     reference = cli._json_text("geometry_report.json",
                                {"sections": {"sphere": section}, "all_passed": True})
     assert (out / "geometry_report.json").read_text(encoding="utf-8") == reference
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, cli._SPHERE_CHUNK + 1])
+def test_chunked_sphere_report_matches_the_whole_array(tmp_path, extra):
+    assert_sphere_report_is_the_whole_array(tmp_path / "geo", cli._SPHERE_CHUNK + extra, 5)
+
+
+# At seed 7 and 1e5 samples, squaring through libm pow instead of the
+# correctly rounded product moves the last bit of max_scalar_gap.
+def test_sphere_report_squares_the_points_as_products(tmp_path):
+    assert_sphere_report_is_the_whole_array(tmp_path / "geo", 100_000, 7)
 
 
 # On Linux a child's ru_maxrss starts at its parent's high-water RSS, which

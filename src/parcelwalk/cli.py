@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import math
 import os
@@ -55,6 +54,13 @@ _STANDARD_RANGE = (-4.5, 4.5)
 # Points per chunk of the geometry sphere check: its temporaries stay under
 # a MiB whatever --sphere-samples is.
 _SPHERE_CHUNK = 1024
+
+# Rows per chunk of endpoints.csv, and bytes per read when an artifact is
+# hashed: what a run holds of either stays under a MiB whatever --trials is.
+# A read of a small file allocates the whole read size first, so a larger
+# one raises the peak of the small runs.
+_CSV_CHUNK_ROWS = 4096
+_HASH_READ = 1 << 16
 
 # Largest geometry inputs: the circle check's arrays stay near 2.5 MiB, the
 # chunked sphere check near 10 s on a 2-vCPU VM; an oscillator level is a report row.
@@ -145,24 +151,34 @@ def _write_trial_csv(path: Path, header: list[str], columns: list[np.ndarray]) -
     """``_write_csv`` of the rows ``zip(range(trials), *columns)``, formatted on every CPU.
 
     Each trial range is formatted into its own file by ``ranges.run_in_ranges``,
-    then copied after the header in range order.  A row's text does not depend
-    on its range, so the file is the same for any number of ranges.
+    ``_CSV_CHUNK_ROWS`` rows to a write, then copied after the header in range
+    order.  A row's text does not depend on its range or its chunk, so the
+    file is the same for any number of ranges.
     """
     row = _csv_row_format(header)
 
     def write_range(lo: int, hi: int, out) -> None:
-        text = io.TextIOWrapper(out, encoding="utf-8")
-        text.writelines(starmap(row, zip(range(lo, hi),
-                                         *(column[lo:hi].tolist() for column in columns))))
-        text.detach()  # flushes into ``out`` and leaves it open
+        for start in range(lo, hi, _CSV_CHUNK_ROWS):
+            stop = min(start + _CSV_CHUNK_ROWS, hi)
+            chunk = (column[start:stop].tolist() for column in columns)
+            out.write("".join(starmap(row, zip(range(start, stop), *chunk))).encode("utf-8"))
 
     parts = ranges.run_in_ranges(ranges.range_bounds(len(columns[0])), write_range)
-    with path.open("w", encoding="utf-8") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.flush()
+    with path.open("wb") as handle:
+        handle.write((",".join(header) + "\n").encode("utf-8"))
         for part in parts:
             with part:
-                shutil.copyfileobj(part, handle.buffer)
+                shutil.copyfileobj(part, handle)
+
+
+def _file_digest(path: Path) -> tuple[str, int]:
+    """sha256 hex digest and size of the file at ``path``, read ``_HASH_READ`` bytes at a time."""
+    digest, size = hashlib.sha256(), 0
+    with path.open("rb") as handle:
+        while block := handle.read(_HASH_READ):
+            digest.update(block)
+            size += len(block)
+    return digest.hexdigest(), size
 
 
 def _json_text(name: str, payload: dict) -> str:
@@ -223,9 +239,8 @@ class _RunDir:
         """Move the artifacts into place, manifest last; return the exit code of ``passed``."""
         artifacts = {}
         for name in self.names:
-            data = (self.staging / name).read_bytes()
-            artifacts[Path(name).name] = {"sha256": hashlib.sha256(data).hexdigest(),
-                                          "bytes": len(data)}
+            digest, size = _file_digest(self.staging / name)
+            artifacts[Path(name).name] = {"sha256": digest, "bytes": size}
         canonical = json.dumps(config, sort_keys=True).encode("utf-8")
         self.write_json("manifest.json", {
             "command": command,
@@ -256,7 +271,7 @@ class _RunDir:
                                and not (path.is_symlink() or path.name.startswith(".staging-")))]
         return [path for name, size, digest in entries for path in (f / name for f in folders)
                 if path.is_file() and path.stat().st_size == size
-                and hashlib.sha256(path.read_bytes()).hexdigest() == digest]
+                and _file_digest(path)[0] == digest]
 
 
 def _flags(args: argparse.Namespace) -> dict:

@@ -52,12 +52,22 @@ def histogram_build(samples, n_bins: int, range_: tuple[float, float]) -> Histog
                      n_out_of_range=int(x.size - in_range.sum()))
 
 
+# Samples per chunk of std_normal_cdf's Python floats: a chunk's lists stay
+# near 200 KiB, so the output array is the only thing that grows with n.
+_ERF_CHUNK = 4096
+
+
 def std_normal_cdf(x) -> np.ndarray:
     """CDF of N(0, 1), elementwise."""
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     # The scaling, the shift and the halving are the same correctly rounded
     # IEEE operations on the array as on each Python float; only erf needs libm.
-    out = 0.5 * (1.0 + np.array(list(map(math.erf, (arr / math.sqrt(2.0)).tolist()))))
+    out = np.empty_like(arr)
+    for lo in range(0, arr.size, _ERF_CHUNK):
+        scaled = (arr[lo:lo + _ERF_CHUNK] / math.sqrt(2.0)).tolist()
+        out[lo:lo + _ERF_CHUNK] = list(map(math.erf, scaled))
+    out += 1.0
+    out *= 0.5
     return out if np.ndim(x) else out[0]
 
 
@@ -117,10 +127,13 @@ def ks_two_sample(a, b) -> KsResult:
     n, m = xa.size, xb.size
     if n < 20 or m < 20:
         raise ValueError(f"two-sample KS needs >= 20 samples per side, got {n} and {m}")
-    pooled = np.concatenate([xa, xb])
-    cdf_a = np.searchsorted(xa, pooled, side="right") / n
-    cdf_b = np.searchsorted(xb, pooled, side="right") / m
-    stat = float(np.abs(cdf_a - cdf_b).max())
+    # The sup over the pooled points, taken over each sample's points in turn
+    # with one gap array of that sample's size.
+    stat = 0.0
+    for points in (xa, xb):
+        gap = np.searchsorted(xa, points, side="right") / n
+        gap -= np.searchsorted(xb, points, side="right") / m
+        stat = max(stat, float(np.abs(gap, out=gap).max()))
     return KsResult(statistic=stat, effective_n=n * m / (n + m))
 
 

@@ -141,13 +141,39 @@ def row_sup_error(n: int, kind: str) -> float:
 
 
 def row_csv(row: TriangleRow) -> str:
-    """CSV text for one row's values and profile: k,count,pmf or k,re,im,modulus2."""
+    """CSV text for one row's values and profile: k,count,pmf or k,re,im,modulus2.
+
+    Each value is written as ``str`` of the count and ``repr`` of a float.
+    An entry past the middle that equals its mirror entry ``n - k`` (for an
+    amplitude: the mirror's conjugate) reuses that entry's text, with the
+    sign of the imaginary part flipped; the equality is checked per entry,
+    and an entry with a zero component is formatted on its own, since 0.0 ==
+    -0.0 while their texts differ.
+    """
+    values, probs = row.values, row.probs
+    last = len(values) - 1
+    fields = []
     if row.kind == "classical":
         lines = ["k,count,pmf"]
-        for k, (c, p) in enumerate(zip(row.values, row.probs)):
-            lines.append(f"{k},{c},{p!r}")
-    else:
-        lines = ["k,re,im,modulus2"]
-        for k, (a, p) in enumerate(zip(row.values, row.probs)):
-            lines.append(f"{k},{a.real!r},{a.imag!r},{p!r}")
+        for k, (c, p) in enumerate(zip(values, probs)):
+            j = last - k
+            if j < k and c and p and c == values[j] and p == probs[j]:
+                text = fields[j]
+            else:
+                text = f"{c},{p!r}"
+            fields.append(text)
+            lines.append(f"{k},{text}")
+        return "\n".join(lines) + "\n"
+    lines = ["k,re,im,modulus2"]
+    for k, (a, p) in enumerate(zip(values, probs)):
+        j = last - k
+        re, im = a.real, a.imag
+        if (j < k and re and im and p and re == values[j].real and im == -values[j].imag
+                and p == probs[j]):
+            re_text, im_text, p_text = fields[j]
+            im_text = im_text[1:] if im_text[0] == "-" else "-" + im_text
+        else:
+            re_text, im_text, p_text = repr(re), repr(im), repr(p)
+        fields.append((re_text, im_text, p_text))
+        lines.append(f"{k},{re_text},{im_text},{p_text}")
     return "\n".join(lines) + "\n"

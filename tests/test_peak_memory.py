@@ -1,0 +1,67 @@
+"""Peak Python-heap bounds on fig3's per-trial stages, read with ``tracemalloc``.
+
+numpy reports its array buffers to ``tracemalloc``, so each peak counts the
+arrays a stage makes as well as its Python objects; the inputs are built
+before tracing starts.  Each bound sits well below what one more array or
+one Python float per sample would cost: the CDF and the two-sample KS may
+hold a few arrays of their input's size, and the ``endpoints.csv`` writer
+and the manifest hash a few fixed-size chunks whatever the size.
+"""
+import os
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from parcelwalk import cli, ranges
+from parcelwalk.stats import ks_two_sample, std_normal_cdf
+
+MiB = 1 << 20
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def traced_peak(call) -> int:
+    """Peak bytes traced while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_normal_cdf_of_a_million_samples_holds_no_python_float_per_sample():
+    x = np.random.default_rng(1).standard_normal(10**6)
+    assert traced_peak(lambda: std_normal_cdf(x)) <= 4 * x.nbytes
+
+
+def test_two_sample_ks_holds_a_few_arrays_of_its_input_size():
+    rng = np.random.default_rng(2)
+    a, b = rng.standard_normal(5 * 10**5), rng.standard_normal(5 * 10**5)
+    assert traced_peak(lambda: ks_two_sample(a, b)) <= 4 * (a.nbytes + b.nbytes)
+
+
+def test_endpoints_csv_of_a_million_rows_is_written_in_fixed_size_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ranges, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal(10**6) for _ in range(3)]
+    path = tmp_path / "endpoints.csv"
+    header = ["trial", "brownian_scaled", "real_channel", "imag_channel"]
+    assert traced_peak(lambda: cli._write_trial_csv(path, header, columns)) <= 8 * MiB
+
+
+def test_manifest_of_a_64_mib_artifact_hashes_it_in_fixed_size_reads(tmp_path):
+    with cli._RunDir(str(tmp_path / "run")) as run:
+        with run.path("big.bin").open("wb") as handle:
+            block = bytes(range(256)) * (MiB // 256)
+            for _ in range(64):
+                handle.write(block)
+        del block
+        assert traced_peak(lambda: run.finish("test", {}, True)) <= 8 * MiB
+    assert (tmp_path / "run" / "big.bin").stat().st_size == 64 * MiB

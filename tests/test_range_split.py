@@ -240,6 +240,25 @@ def test_trial_csv_with_fewer_trials_than_ranges_matches_the_serial_writer(tmp_p
         "ranges1.csv", "ranges2.csv", "ranges4.csv", "serial.csv"]
 
 
+CSV_CHUNK = cli._CSV_CHUNK_ROWS
+
+
+# Row counts on each side of a chunk boundary, and several chunks; one range
+# puts every boundary in one file, three put the range boundaries inside chunks.
+@pytest.mark.parametrize("rows", [CSV_CHUNK - 1, CSV_CHUNK, CSV_CHUNK + 1, 3 * CSV_CHUNK + 7])
+def test_trial_csv_in_chunks_matches_the_whole_array_writer(tmp_path, monkeypatch, rows):
+    rng = np.random.default_rng(rows)
+    columns = [rng.standard_normal(rows), rng.standard_normal(rows) * 1e-300,
+               np.resize([-0.0, 5e-324, np.inf, np.nan, 1.7e308], rows)]
+    whole = tmp_path / "whole.csv"
+    cli._write_csv(whole, ENDPOINTS_HEADER, zip(range(rows), *(c.tolist() for c in columns)))
+    for n in (1, 3):
+        force_ranges(monkeypatch, n)
+        chunked = tmp_path / f"ranges{n}.csv"
+        cli._write_trial_csv(chunked, ENDPOINTS_HEADER, columns)
+        assert chunked.read_bytes() == whole.read_bytes()
+
+
 def fail_formatting(monkeypatch, how):
     """Make every forked worker fail while it formats its rows of endpoints.csv."""
     parent = os.getpid()

@@ -36,6 +36,21 @@ FIG3_GOLDEN = {
     "verdict.json": "8a86e7005abe79f7ca3b2d1f6b8a3f6d9e39ea750f957603cb21fce21c5c86d0",
 }
 
+# fig3 --seed 7 --trials 9001 --steps 16: more trials than several chunks of
+# the CDF and of endpoints.csv's rows, split into two trial ranges on two
+# CPUs; every file but manifest.json.
+FIG3_9001_GOLDEN = {
+    "endpoints.csv": "bb39f930f2bc38c2aa880365b160adfcc9243418fe5f5a099c9dc3f58491b831",
+    "hist_brownian_endpoints.csv":
+        "87260ae826798f5f067bff52ed64b3f353c120ca24f5c1bf4462c5eff23444b3",
+    "hist_sqrt_real_channel.csv":
+        "cdbcb60ba2cd5c3a8939918d4bfda06fbbe8af4e3cb1060203b69f2f5cc9b905",
+    "hist_sqrt_imag_channel.csv":
+        "abba6219083f5f44817c81bd911ab01c2444be3a4af79ac5f5f337a29c2550c5",
+    "fig3_overlay.svg": "e185aa109cff04129fc6d23fedc3b9ccdde7e678bab734237721c868547a0931",
+    "verdict.json": "b44b4d2f7edc0a777b22bc4256a35e1cd613603593e5ec0dafc29656966a9ef1",
+}
+
 # sha256 of every file a triangle, geometry or kernels run writes, keyed by
 # its path relative to the output directory; manifest.json is left out for
 # the same reason as above.
@@ -169,6 +184,8 @@ KERNELS_GOLDEN = {
 }
 
 SUBCOMMAND_GOLDEN = {
+    "fig3-9001": (["fig3", "--seed", "7", "--trials", "9001", "--steps", "16"],
+                  FIG3_9001_GOLDEN),
     "triangle-40-both": (["triangle", "--n-max", "40", "--kind", "both"],
                          TRIANGLE_40_BOTH_GOLDEN),
     "triangle-25-quantum": (["triangle", "--n-max", "25", "--kind", "quantum"],

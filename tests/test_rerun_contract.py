@@ -222,3 +222,11 @@ def test_a_planted_manifest_key_deletes_nothing_outside_out(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     assert main([*KERNELS_ARGS, "--out", str(out)]) == EXIT_OK
     assert (out / "sup_error.csv").exists()
+
+
+@pytest.mark.parametrize("size", [0, 1, cli._HASH_READ - 1, cli._HASH_READ, cli._HASH_READ + 1,
+                                  2 * cli._HASH_READ + 3])
+def test_file_digest_equals_the_whole_file_hash(tmp_path, size):
+    path = tmp_path / "artifact"
+    path.write_bytes(os.urandom(size))
+    assert cli._file_digest(path) == (hashlib.sha256(path.read_bytes()).hexdigest(), size)

@@ -4,10 +4,11 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from parcelwalk import stats
 from parcelwalk.stats import (
     histogram_build,
     ks_one_sample,
@@ -213,13 +214,54 @@ def test_ks_tests_reject_non_finite_samples(bad):
 CDF_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 38.0, -38.0,
                       1e300, -1e300]
 
+# Sizes on each side of a chunk boundary of the CDF's erf loop, and several chunks.
+CHUNK_SIZES = [stats._ERF_CHUNK - 1, stats._ERF_CHUNK, stats._ERF_CHUNK + 1,
+               3 * stats._ERF_CHUNK + 7]
+
+
+def chunk_sample(size: int) -> np.ndarray:
+    x = 4.0 * np.random.default_rng(size).standard_normal(size)
+    x[::97] = np.resize(CDF_SPECIAL_VALUES, x[::97].size)
+    return x
+
 
 # The parent's formula iterated numpy scalars; iterating Python floats must
 # not move a bit, signed zeros and the saturated tails included.
 @settings(max_examples=200, deadline=None)
 @given(arrays(np.float64, st.integers(1, 30),
               elements=st.floats(allow_nan=False) | st.sampled_from(CDF_SPECIAL_VALUES)))
+@example(chunk_sample(CHUNK_SIZES[0]))
+@example(chunk_sample(CHUNK_SIZES[1]))
+@example(chunk_sample(CHUNK_SIZES[2]))
+@example(chunk_sample(CHUNK_SIZES[3]))
 def test_std_normal_cdf_matches_the_numpy_scalar_formula(x):
     expected = [0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x]
     assert [v.hex() for v in std_normal_cdf(x).tolist()] == [v.hex() for v in expected]
     assert std_normal_cdf(x[0]).hex() == expected[0].hex()
+
+
+def pooled_ks_statistic(a, b) -> float:
+    """The two-sample statistic as the sup over the concatenated sorted samples."""
+    xa, xb = np.sort(a), np.sort(b)
+    pooled = np.concatenate([xa, xb])
+    cdf_a = np.searchsorted(xa, pooled, side="right") / xa.size
+    cdf_b = np.searchsorted(xb, pooled, side="right") / xb.size
+    return float(np.abs(cdf_a - cdf_b).max())
+
+
+# The two-sample KS has no chunk of its own; it runs at the CDF's sizes, with
+# equal and unequal sides.  Rounded to a 0.05 grid, the samples tie within
+# and across each other.
+@pytest.mark.parametrize("n, m", [(CHUNK_SIZES[0], CHUNK_SIZES[0]), (CHUNK_SIZES[1], 20),
+                                  (CHUNK_SIZES[2], CHUNK_SIZES[3]), (CHUNK_SIZES[3], 997)])
+@pytest.mark.parametrize("ties", [False, True])
+def test_ks_two_sample_equals_the_pooled_formula(n, m, ties):
+    rng = np.random.default_rng(n + m)
+    a = rng.standard_normal(n)
+    b = 1.1 * rng.standard_normal(m) + 0.02
+    if ties:
+        a, b = np.round(a * 20) / 20, np.round(b * 20) / 20
+    result = ks_two_sample(a, b)
+    assert result.statistic == pooled_ks_statistic(a, b)
+    assert ks_two_sample(b, a).statistic == result.statistic
+    assert result.effective_n == n * m / (n + m)

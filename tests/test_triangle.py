@@ -4,9 +4,11 @@ import math
 import pytest
 
 from parcelwalk.triangle import (
+    TriangleRow,
     binomial_pmf,
     classical_row,
     gaussian_approx_row,
+    next_classical_row,
     qtpt_amplitude,
     qtpt_row,
     row_csv,
@@ -135,3 +137,45 @@ def test_row_csv_format():
     text = row_csv(qtpt_row(1))
     assert text.startswith("k,re,im,modulus2\n")
     assert len(text.strip().split("\n")) == 3
+
+
+def per_entry_row_csv(row) -> str:
+    """``row_csv`` with every entry formatted on its own."""
+    if row.kind == "classical":
+        lines = ["k,count,pmf"] + [f"{k},{c},{p!r}"
+                                   for k, (c, p) in enumerate(zip(row.values, row.probs))]
+    else:
+        lines = ["k,re,im,modulus2"] + [f"{k},{a.real!r},{a.imag!r},{p!r}"
+                                        for k, (a, p) in enumerate(zip(row.values, row.probs))]
+    return "\n".join(lines) + "\n"
+
+
+# Every row up to 300 (row 1 and each even row's middle have a zero imaginary
+# part), and the largest rows on each side of a power of two.
+ROW_CSV_NS = {*range(301), 511, 512, 999, 1000}
+
+
+def test_row_csv_matches_the_per_entry_formula():
+    classical = classical_row(0)
+    for n in range(max(ROW_CSV_NS) + 1):
+        if n:
+            classical = next_classical_row(classical)
+        if n in ROW_CSV_NS:
+            for row in [classical, qtpt_row(n, classical)] if n else [classical]:
+                assert row_csv(row) == per_entry_row_csv(row), (row.kind, n)
+
+
+# Rows whose mirror entries are equal but not each other's text: a count or
+# amplitude that is not symmetric, and components that differ only in the
+# sign of a zero.
+@pytest.mark.parametrize("row", [
+    TriangleRow(3, [1, 3, 2, 1], "classical", [0.125, 0.375, 0.25, 0.125]),
+    TriangleRow(1, [1, 1], "classical", [0.0, -0.0]),
+    TriangleRow(2, [0.5 + 0.25j, 0.7 + 0.1j, 0.5 + 0.25j], "quantum", [0.3125, 0.5, 0.3125]),
+    TriangleRow(1, [complex(0.5, 0.0), complex(0.5, 0.0)], "quantum", [0.25, 0.25]),
+    TriangleRow(1, [complex(0.0, 0.5), complex(-0.0, -0.5)], "quantum", [0.25, 0.25]),
+    TriangleRow(1, [0.5 + 0.5j, 0.5 - 0.5j], "quantum", [0.0, -0.0]),
+], ids=["asymmetric-counts", "signed-zero-pmf", "equal-not-conjugate", "signed-zero-imag",
+        "signed-zero-real", "signed-zero-modulus"])
+def test_row_csv_formats_each_entry_its_mirror_does_not_match(row):
+    assert row_csv(row) == per_entry_row_csv(row)

@@ -11,12 +11,14 @@ checks what two flags set together, computes, and writes through one
 it and, once the run has finished, moves them into place with
 ``manifest.json`` last, which holds the resolved configuration and a sha256
 per artifact keyed by bare file name.  A run that fails anywhere before that
-leaves the directory as it was.  It also maps the verdict to the exit code.
-Re-running with the same configuration reproduces the artifacts byte for
-byte.  JSON artifacts are strict: a non-finite value is an error.  Exit codes:
-0 success, 1 usage (a non-finite result, or a size too large for memory,
-included), 2 statistical failure, 3 I/O failure (a failed ``fig3`` worker
-process included).
+leaves the directory as it was.  Every pass/fail decision is a check record
+built by ``_check``; each subcommand hands its list to ``_RunDir.finish``,
+which alone writes ``verdict.json`` (the records and ``all_passed``) and
+returns the exit code.  Re-running with the same configuration reproduces
+the artifacts byte for byte.  JSON artifacts are strict: a non-finite value
+is an error.  Exit codes: 0 success, 1 usage (a non-finite result, or a size
+too large for memory, included), 2 a failed check, 3 I/O failure (a failed
+``fig3`` worker process included).
 
 Only the numpy-free modules are imported here; ``fig3`` and ``geometry``
 import numpy and their modules when they run, so ``triangle`` and
@@ -188,14 +190,21 @@ def _json_text(name: str, payload: dict) -> str:
         raise ValueError(f"{name} not written: {exc}") from None
 
 
+def _check(name: str, statistic: float, threshold: float, **extra) -> dict:
+    """One record of ``verdict.json``: it passes when ``statistic <= threshold`` (a NaN fails)."""
+    return {"name": name, "statistic": statistic, "threshold": threshold, **extra,
+            "passed": bool(statistic <= threshold)}
+
+
 class _RunDir:
-    """The output directory of one run: it owns the artifacts, the manifest and the exit code.
+    """The output directory of one run: it owns the artifacts, the verdict and the exit code.
 
     ``with _RunDir(out) as run:`` stages every artifact in a private
-    ``.staging-*`` directory inside ``out``; ``finish`` checksums the staged
-    files, then moves them into ``out`` with ``manifest.json`` last, after
-    the old manifest is gone, so ``out`` never holds a manifest whose
-    checksums do not match its files.  A run that fails before ``finish``
+    ``.staging-*`` directory inside ``out``; ``finish`` writes ``verdict.json``
+    from the run's check records, checksums the staged files, then moves
+    them into ``out`` with ``manifest.json`` last, after the old manifest is
+    gone, so ``out`` never holds a manifest whose checksums do not match its
+    files.  A run that fails before ``finish``
     leaves ``out`` as it was, and removes ``out`` and each parent of it that
     it created.  Manifest keys are bare file names (those in ``rows/`` too):
     the benchmark gate looks them up so; a rerun removes the old run's files
@@ -235,8 +244,11 @@ class _RunDir:
     def write_json(self, name: str, payload: dict) -> None:
         self.write_text(name, _json_text(name, payload))
 
-    def finish(self, command: str, config: dict, passed: bool) -> int:
-        """Move the artifacts into place, manifest last; return the exit code of ``passed``."""
+    def finish(self, command: str, config: dict, checks: list[dict], **details) -> int:
+        """Write ``verdict.json`` from ``checks`` and ``details``, move the artifacts into
+        place, manifest last; return 0 if every check passed, else 2."""
+        all_passed = all(check["passed"] for check in checks)
+        self.write_json("verdict.json", {"checks": checks, "all_passed": all_passed, **details})
         artifacts = {}
         for name in self.names:
             digest, size = _file_digest(self.staging / name)
@@ -256,7 +268,7 @@ class _RunDir:
             path.unlink(missing_ok=True)
         for name in self.names:
             os.replace(self.staging / name, self.dir / name)
-        return EXIT_OK if passed else EXIT_STAT
+        return EXIT_OK if all_passed else EXIT_STAT
 
     def _stale_files(self) -> list[Path]:
         """The old manifest's files, unchanged, that this run does not write (bare names only)."""
@@ -350,23 +362,14 @@ def cmd_fig3(args: argparse.Namespace) -> int:
         report = stats.stats_report(samples, stats.std_normal_cdf, args.alpha)
         reports[name] = asdict(report)
         fits[name] = {"mu": report.mean, "sigma": math.sqrt(report.variance)}
-        checks.append({
-            "name": f"ks_{name}_vs_normal",
-            "statistic": report.ks_statistic,
-            "threshold": report.ks_threshold,
-            "alpha": args.alpha,
-            "passed": report.verdict == "pass",
-        })
+        # the benchmark gate reads the ks_* names and their passed
+        checks.append(_check(f"ks_{name}_vs_normal", report.ks_statistic,
+                             report.ks_threshold, alpha=args.alpha))
     two = stats.ks_two_sample(real_ch, imag_ch)
-    checks.append({
-        "name": "ks_two_sample_channels",
-        "statistic": two.statistic,
-        "threshold": two.threshold_at(args.alpha),
-        "alpha": args.alpha,
-        "passed": two.passes(args.alpha),
-    })
+    checks.append(_check("ks_two_sample_channels", two.statistic, two.threshold_at(args.alpha),
+                         alpha=args.alpha))
     # The step residual is relative, so one bound holds at every horizon.
-    all_passed = all(c["passed"] for c in checks) and max_step <= 1e-12
+    checks.append(_check("square_identity_max_step", max_step, 1e-12))
 
     curve_x = np.linspace(*_STANDARD_RANGE, 181)
     curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
@@ -385,14 +388,11 @@ def cmd_fig3(args: argparse.Namespace) -> int:
             series.append((name.replace("_", " "), color, centers, densities))
         run.write_text("fig3_overlay.svg",
                        _overlay_svg(series, "Brownian kernel vs rotated square-root channels"))
-        run.write_json("verdict.json", {
-            "checks": checks,
-            "all_passed": all_passed,
-            "square_identity": {"max_step_residual": max_step, "max_path_residual": max_path},
-            "gaussian_fits": fits,
-            "channel_reports": reports,
-        })
-        return run.finish("fig3", _flags(args), all_passed)
+        return run.finish(
+            "fig3", _flags(args), checks,
+            # the benchmark gate reads square_identity
+            square_identity={"max_step_residual": max_step, "max_path_residual": max_path},
+            gaussian_fits=fits, channel_reports=reports)
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
@@ -432,14 +432,10 @@ def cmd_triangle(args: argparse.Namespace) -> int:
             _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
         _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
 
-        passed = max_residual <= 1e-10
-        run.write_json("verdict.json", {
-            "n_max": n_max,
-            "kind": kind,
-            "max_modulus_residual": max_residual,
-            "passed": passed,
-        })
-        return run.finish("triangle", _flags(args), passed)
+        return run.finish("triangle", _flags(args),
+                          [_check("max_modulus_residual", max_residual, 1e-10)],
+                          # the benchmark gate reads max_modulus_residual here
+                          max_modulus_residual=max_residual)
 
 
 def cmd_geometry(args: argparse.Namespace) -> int:
@@ -456,6 +452,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
     report, circle_n, hbar, omega = args.report, args.circle_n, args.hbar, args.omega
     sphere_samples, seed = args.sphere_samples, args.seed
     sections = {}
+    checks = []
 
     if report in ("oscillator", "all"):
         rows = []
@@ -471,33 +468,36 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             if not in_range:
                 raise UsageError(f"--hbar {hbar} and --omega {omega} put an oscillator row "
                                  "out of float range")
-            gap = abs(volumes.classical_volume - volumes.quantized_volume)
             rows.append({
                 "n": n,
                 "energy": energy,
                 "classical_volume": volumes.classical_volume,
                 "quantized_volume": volumes.quantized_volume,
-                "gap": gap,
-                "passed": gap <= 1e-12 * max(1.0, volumes.classical_volume),
+                "gap": abs(volumes.classical_volume - volumes.quantized_volume),
             })
-        sections["oscillator"] = {"hbar": hbar, "omega": omega, "rows": rows,
-                                  "passed": all(row["passed"] for row in rows)}
+        sections["oscillator"] = {"hbar": hbar, "omega": omega, "rows": rows}
+        worst_gap = max(row["gap"] / max(1.0, row["classical_volume"]) for row in rows)
+        checks.append(_check("oscillator_relative_gap", worst_gap, 1e-12))
 
     if report in ("circle", "all"):
         model = geometry.circle_model(circle_n)
         interior, wrap = geometry.circle_quantization_residual(model)
-        lengths = {}
-        for length in (2.0 * math.pi, 4.0 * math.pi, 7.0):
-            n = geometry.length_quantization_check(length, tol=1e-6)
-            lengths[repr(float(length))] = n
+        expected_n = {2.0 * math.pi: 1, 4.0 * math.pi: 2, 7.0: None}
+        lengths = {length: geometry.length_quantization_check(length, tol=1e-6)
+                   for length in expected_n}
         sections["circle"] = {
             "n_points": circle_n,
             "interior_residual": interior,
             "wrap_value": wrap,
             "expected_wrap": 1 - circle_n,
-            "length_checks": lengths,
-            "passed": interior <= 1e-10 and wrap == 1 - circle_n,
+            "length_checks": {repr(length): n for length, n in lengths.items()},
         }
+        checks += [
+            _check("circle_interior_residual", interior, 1e-10),
+            _check("circle_wrap_error", abs(wrap - (1 - circle_n)), 0),
+            _check("circle_length_rule",
+                   sum(lengths[length] != n for length, n in expected_n.items()), 0),
+        ]
 
     if report in ("sphere", "all"):
         # One generator drawn chunk by chunk gives the bytes of one
@@ -521,13 +521,15 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             "minus_one_fraction": (sphere_samples - n_plus) / sphere_samples,
             "max_offdiag_residual": worst_offdiag,
             "max_scalar_gap": worst_scalar_gap,
-            "passed": worst_offdiag <= 1e-12 and worst_scalar_gap <= 1e-12,
         }
+        checks += [_check("sphere_max_offdiag_residual", worst_offdiag, 1e-12),
+                   _check("sphere_max_scalar_gap", worst_scalar_gap, 1e-12)]
 
-    all_passed = all(section["passed"] for section in sections.values())
     with _RunDir(args.out) as run:
-        run.write_json("geometry_report.json", {"sections": sections, "all_passed": all_passed})
-        return run.finish("geometry", _flags(args), all_passed)
+        # the benchmark gate reads this all_passed
+        run.write_json("geometry_report.json", {
+            "sections": sections, "all_passed": all(check["passed"] for check in checks)})
+        return run.finish("geometry", _flags(args), checks)
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -581,13 +583,8 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         _write_csv(run.path("schrodinger_kernel_grid.csv"), ["x", "t", "re", "im"],
                    ((x, t, value.real, value.imag) for x, t, value in schrod_values))
         residual = kernels.wick_identity_residual(spec, spec, grid)
-        passed = residual <= 1e-12
-        run.write_json("verdict.json", {
-            "grid_points": len(grid),
-            "wick_identity_residual": residual,
-            "passed": passed,
-        })
-        return run.finish("kernels", {**_flags(args), **_KERNEL_GRID}, passed)
+        return run.finish("kernels", {**_flags(args), **_KERNEL_GRID},
+                          [_check("wick_identity_residual", residual, 1e-12)])
 
 
 # ---------------------------------------------------------------------------

@@ -139,7 +139,7 @@ def ks_two_sample(a, b) -> KsResult:
 
 @dataclass(frozen=True)
 class StatsReport:
-    """Moments, a KS verdict, and the threshold it was judged against."""
+    """Moments, a KS statistic, and the threshold it is judged against."""
 
     mean: float
     variance: float
@@ -147,11 +147,10 @@ class StatsReport:
     excess_kurtosis: float
     ks_statistic: float
     ks_threshold: float
-    verdict: str  # "pass" | "fail"
 
 
 def stats_report(samples, reference_cdf, alpha: float) -> StatsReport:
-    """Summary report: population moments plus a one-sample KS verdict."""
+    """Summary report: population moments plus a one-sample KS statistic and its threshold."""
     x = np.asarray(samples, dtype=float)
     mean = float(x.mean())
     centered = x - mean
@@ -165,13 +164,11 @@ def stats_report(samples, reference_cdf, alpha: float) -> StatsReport:
     skew = m3 / s2**1.5 if s2 > 0 else 0.0
     kurt = m4 / s2**2 - 3.0 if s2 > 0 else 0.0
     ks = ks_one_sample(x, reference_cdf)
-    threshold = ks.threshold_at(alpha)
     return StatsReport(
         mean=mean,
         variance=m2,
         skewness=skew,
         excess_kurtosis=kurt,
         ks_statistic=ks.statistic,
-        ks_threshold=threshold,
-        verdict="pass" if ks.statistic <= threshold else "fail",
+        ks_threshold=ks.threshold_at(alpha),
     )

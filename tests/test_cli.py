@@ -36,7 +36,7 @@ def test_fig3_writes_artifacts_and_passes(tmp_path):
         assert (out / name).exists(), name
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["all_passed"] is True
-    assert len(verdict["checks"]) == 4
+    assert len(verdict["checks"]) == 5
     assert verdict["square_identity"]["max_step_residual"] <= 1e-15
 
 
@@ -149,7 +149,9 @@ def test_fig3_fails_when_the_roots_do_not_square_back(tmp_path, monkeypatch):
     code, out = run_fig3(tmp_path)
     assert code == EXIT_STAT
     verdict = json.loads((out / "verdict.json").read_text())
-    assert all(check["passed"] for check in verdict["checks"])
+    passed = {check["name"]: check["passed"] for check in verdict["checks"]}
+    assert passed.pop("square_identity_max_step") is False
+    assert all(passed.values())
     assert verdict["all_passed"] is False
     assert verdict["square_identity"]["max_step_residual"] > 1.0
 
@@ -197,7 +199,7 @@ def test_fig3_verdict_embeds_channel_reports(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     report = verdict["channel_reports"]["sqrt_real_channel"]
     assert set(report) == {"mean", "variance", "skewness", "excess_kurtosis",
-                           "ks_statistic", "ks_threshold", "verdict"}
+                           "ks_statistic", "ks_threshold"}
     assert abs(report["mean"]) <= 1e-12
     assert report["variance"] == pytest.approx(1.0, abs=1e-12)
 
@@ -298,8 +300,12 @@ def test_geometry_full_report(tmp_path):
     assert circle["interior_residual"] <= 1e-10
     assert circle["length_checks"][repr(2 * math.pi)] == 1
     assert circle["length_checks"]["7.0"] is None
-    oscillator = report["sections"]["oscillator"]
-    assert all(row["passed"] for row in oscillator["rows"])
+    assert len(report["sections"]["oscillator"]["rows"]) == 11
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict["all_passed"] is True
+    assert [check["name"] for check in verdict["checks"]] == [
+        "oscillator_relative_gap", "circle_interior_residual", "circle_wrap_error",
+        "circle_length_rule", "sphere_max_offdiag_residual", "sphere_max_scalar_gap"]
     sphere = report["sections"]["sphere"]
     assert sphere["plus_one_fraction"] + sphere["minus_one_fraction"] == pytest.approx(1.0)
 
@@ -318,7 +324,8 @@ def test_kernels_report(tmp_path):
     code = main(["kernels", "--out", str(out)])
     assert code == EXIT_OK
     verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict["wick_identity_residual"] <= 1e-12
+    [check] = verdict["checks"]
+    assert check["name"] == "wick_identity_residual" and check["statistic"] <= 1e-12
     assert (out / "heat_kernel_grid.csv").exists()
     assert (out / "schrodinger_kernel_grid.csv").exists()
 

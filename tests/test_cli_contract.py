@@ -1,4 +1,4 @@
-"""CLI run contract: strict JSON artifacts and usage errors for empty inputs.
+"""CLI run contract: one verdict schema, strict JSON artifacts and usage errors for empty inputs.
 
 A non-finite result fails the run instead of writing a bare ``NaN``.
 """
@@ -7,7 +7,7 @@ import json
 import pytest
 
 from parcelwalk import cli, geometry, kernels
-from parcelwalk.cli import EXIT_OK, EXIT_USAGE, main
+from parcelwalk.cli import EXIT_OK, EXIT_STAT, EXIT_USAGE, main
 
 
 def test_nan_residual_fails_without_writing_verdict_or_manifest(tmp_path, monkeypatch):
@@ -31,6 +31,34 @@ def test_written_json_is_strict(tmp_path):
     assert main(["triangle", "--n-max", "5", "--out", str(out)]) == EXIT_OK
     for name in ("verdict.json", "manifest.json"):
         json.loads((out / name).read_text(encoding="utf-8"), parse_constant=pytest.fail)
+
+
+def conjugated_propagator(monkeypatch):
+    original = kernels.schrodinger_kernel
+    monkeypatch.setattr(kernels, "schrodinger_kernel", lambda *args: original(*args).conjugate())
+
+
+@pytest.mark.parametrize("argv, plant", [
+    (["fig3", "--trials", "500", "--steps", "8"], None),
+    (["triangle", "--n-max", "5"], None),
+    (["geometry", "--sphere-samples", "200"], None),
+    (["kernels"], None),
+    (["kernels"], conjugated_propagator),
+], ids=["fig3", "triangle", "geometry", "kernels", "kernels-planted-failure"])
+def test_every_run_writes_one_verdict_schema(tmp_path, monkeypatch, argv, plant):
+    if plant is not None:
+        plant(monkeypatch)
+    out = tmp_path / "run"
+    code = main([*argv, "--out", str(out)])
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
+    checks = verdict["checks"]
+    assert checks and all({"name", "statistic", "threshold", "passed"} <= set(check)
+                          for check in checks)
+    names = [check["name"] for check in checks]
+    assert len(set(names)) == len(names)
+    assert verdict["all_passed"] is all(check["passed"] for check in checks)
+    assert code == (EXIT_OK if verdict["all_passed"] else EXIT_STAT)
+    assert verdict["all_passed"] is (plant is None)
 
 
 def test_geometry_rejects_an_empty_sphere_sample(tmp_path):

@@ -119,8 +119,9 @@ def test_wrong_shift_or_mode_ladder_fails_the_circle_verdict(tmp_path, monkeypat
     out = tmp_path / "geo"
     args = ["geometry", "--report", "circle", "--circle-n", str(n), "--out", str(out)]
     assert cli.main(args) == cli.EXIT_STAT
-    circle = json.loads((out / "geometry_report.json").read_text())["sections"]["circle"]
-    assert circle["passed"] is False
+    passed = {check["name"]: check["passed"]
+              for check in json.loads((out / "verdict.json").read_text())["checks"]}
+    assert (passed["circle_interior_residual"], passed["circle_wrap_error"]) == (False, False)
 
 
 def whole_array_sphere_section(samples, seed):
@@ -141,7 +142,6 @@ def whole_array_sphere_section(samples, seed):
         "minus_one_fraction": (samples - n_plus) / samples,
         "max_offdiag_residual": worst_offdiag,
         "max_scalar_gap": worst_scalar_gap,
-        "passed": worst_offdiag <= 1e-12 and worst_scalar_gap <= 1e-12,
     }
 
 

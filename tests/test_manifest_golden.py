@@ -15,16 +15,16 @@ from parcelwalk.cli import EXIT_OK, main
 
 MANIFEST_GOLDEN = {
     "fig3": (["fig3", "--seed", "7", "--trials", "300", "--steps", "16"],
-             "c28252102258a98e33e85315f731dfbd5c48127c699646677c893b9ca3db985c"),
+             "fe9674a5c7a39af1f07008bdb030a7f47749888fa04618a16639cd6d834e5553"),
     "triangle-40-both": (["triangle", "--n-max", "40", "--kind", "both"],
-                         "08b27f4c689da47029c2edccc227d8304f9703f30b57c58ba030f6e2e2d28283"),
+                         "f5d8d65a9f1d6d5f2904838d88b483ef5f9f8dbc342e99934e51dedcb106a041"),
     "triangle-25-quantum": (["triangle", "--n-max", "25", "--kind", "quantum"],
-                            "32c58b0043ffb19e04460d97ab953e10d73ce13283c646dbe6d5a16bd58ceb2b"),
+                            "36fd638745f8e371678444c2f65a7f52ebc750010961b10a16fd820b2c938fb9"),
     "geometry-all": (["geometry", "--report", "all", "--circle-n", "64",
                       "--sphere-samples", "2000", "--seed", "3"],
-                     "5499b18e8b772dd41359187c043d5a8b22f45d91a8e050497d3871cab61d14af"),
+                     "bcf8c0500fec76756b884bcc90637f17523eb38973847074846c319e42e27ddb"),
     "kernels": (["kernels"],
-                "a3feff0f0bca7624f09a3c02ddcd24d9aa666037ff29192b82ba4902e96102d6"),
+                "5b8c57968c2bc560196d9ce613dbe5fd5b037b1cf2e7982627b77eace1c699d7"),
 }
 
 

@@ -1,18 +1,19 @@
 """Planted faults: every verdict must fail when the physics is wrong.
 
 Each row plants one fault at one seam (a module attribute the run calls),
-runs a subcommand through ``cli.main`` and requires exit 2 with the
-verdict's ``all_passed``/``passed`` false.  A counter in this process
-shows that the plant ran: a refactor that stops calling the seam fails the
-row instead of passing it unseen.  (``fig3`` runs its first trial range in
+runs a subcommand through ``cli.main`` and requires exit 2, ``all_passed``
+false in ``verdict.json``, and the check record the row names failed.  A
+counter in this process shows that the plant ran: a refactor that stops
+calling the seam fails the row instead of passing it unseen.  (``fig3`` runs its first trial range in
 this process, the others in forked copies of it, so the copies plant the
 same fault.)
 
 The verdicts that do not yet see their fault are ``xfail(strict=True)``,
-with the ROADMAP item that fixes them as the reason.  A strict xfail that
-starts to pass fails the suite, so the change that makes a verdict see its
-fault removes the mark.  The mark only covers the verdict assertions: a
-plant that never ran, or a run that errored, fails the row outright.
+with the ROADMAP item that fixes them as the reason; they name no check
+yet.  A strict xfail that starts to pass fails the suite, so the change that
+makes a verdict see its fault removes the mark and names the check that
+sees it.  The mark only covers the verdict assertions: a plant that never
+ran, or a run that errored, fails the row outright.
 """
 import dataclasses
 import json
@@ -26,12 +27,6 @@ from parcelwalk.cli import EXIT_OK, EXIT_STAT, main
 
 FIG3 = ["fig3", "--seed", "42", "--trials", "20000", "--steps", "64"]
 TRIANGLE = ["triangle", "--n-max", "200"]
-
-# Where each subcommand writes its verdict, and the key that holds it.
-VERDICTS = {"fig3": ("verdict.json", "all_passed"),
-            "triangle": ("verdict.json", "passed"),
-            "geometry": ("geometry_report.json", "all_passed"),
-            "kernels": ("verdict.json", "passed")}
 
 FIG3_BLIND = pytest.mark.xfail(
     strict=True, raises=AssertionError,
@@ -97,27 +92,36 @@ def oscillator_area_without_half(original, spec):
                                quantized_volume=2.0 * math.pi * spec.n_quanta * spec.hbar)
 
 
-@pytest.mark.parametrize("argv, module, seam, plant", [
-    pytest.param(FIG3, stochastic, "_row_source", increments_times_three,
+def length_rule_without_tolerance(original, length, tol):
+    return max(1, round(length / (2.0 * math.pi)))
+
+
+@pytest.mark.parametrize("argv, module, seam, plant, failing", [
+    pytest.param(FIG3, stochastic, "_row_source", increments_times_three, None,
                  marks=FIG3_BLIND, id="fig3-increments-x3"),
-    pytest.param(FIG3, stochastic, "_row_source", drift_half_sd_per_step,
+    pytest.param(FIG3, stochastic, "_row_source", drift_half_sd_per_step, None,
                  marks=FIG3_BLIND, id="fig3-drift-half-sd"),
-    pytest.param(FIG3, stochastic, "_row_source", uniform_increments,
+    pytest.param(FIG3, stochastic, "_row_source", uniform_increments, None,
                  marks=FIG3_BLIND, id="fig3-uniform-increments"),
-    pytest.param(TRIANGLE, triangle, "gaussian_approx_row", gaussian_variance_times_1_5,
+    pytest.param(TRIANGLE, triangle, "gaussian_approx_row", gaussian_variance_times_1_5, None,
                  marks=TRIANGLE_BLIND, id="triangle-gaussian-variance-x1.5"),
-    pytest.param(TRIANGLE, triangle, "gaussian_approx_row", gaussian_zero,
+    pytest.param(TRIANGLE, triangle, "gaussian_approx_row", gaussian_zero, None,
                  marks=TRIANGLE_BLIND, id="triangle-gaussian-zero"),
     pytest.param(FIG3, stochastic, "_reduce_block", parcel_one_minus_one,
-                 id="fig3-parcel-one-minus-one"),
+                 "square_identity_max_step", id="fig3-parcel-one-minus-one"),
     pytest.param(["kernels"], kernels, "schrodinger_kernel", conjugated_propagator,
-                 id="kernels-conjugated-propagator"),
+                 "wick_identity_residual", id="kernels-conjugated-propagator"),
     pytest.param(["geometry", "--report", "sphere"], geometry, "gamma_basis", g2_is_g1,
-                 id="geometry-g2-is-g1"),
+                 "sphere_max_scalar_gap", id="geometry-g2-is-g1"),
     pytest.param(["geometry", "--report", "oscillator"], geometry, "oscillator_volumes",
-                 oscillator_area_without_half, id="geometry-oscillator-without-half"),
+                 oscillator_area_without_half, "oscillator_relative_gap",
+                 id="geometry-oscillator-without-half"),
+    pytest.param(["geometry", "--report", "circle"], geometry, "length_quantization_check",
+                 length_rule_without_tolerance, "circle_length_rule",
+                 id="geometry-length-rule-without-tolerance"),
 ])
-def test_verdict_fails_on_a_planted_fault(tmp_path, monkeypatch, argv, module, seam, plant):
+def test_verdict_fails_on_a_planted_fault(tmp_path, monkeypatch, argv, module, seam, plant,
+                                          failing):
     original = getattr(module, seam)
     calls = []
 
@@ -133,6 +137,9 @@ def test_verdict_fails_on_a_planted_fault(tmp_path, monkeypatch, argv, module, s
         pytest.fail(f"{module.__name__}.{seam} was never called: the fault was not planted")
     if code not in (EXIT_OK, EXIT_STAT):
         pytest.fail(f"the planted run exited {code} instead of giving a verdict")
+    verdict = json.loads((out / "verdict.json").read_text(encoding="utf-8"))
     assert code == EXIT_STAT
-    name, key = VERDICTS[argv[0]]
-    assert json.loads((out / name).read_text(encoding="utf-8"))[key] is False
+    assert verdict["all_passed"] is False
+    if failing is not None:
+        passed = {check["name"]: check["passed"] for check in verdict["checks"]}
+        assert passed[failing] is False

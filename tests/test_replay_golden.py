@@ -33,7 +33,7 @@ FIG3_GOLDEN = {
     "hist_sqrt_imag_channel.csv":
         "08e60a89de581137a8267f171b026b7f648ee4aac21e3847ff7ebe7e5fb13c18",
     "fig3_overlay.svg": "777f3d6988e80a105d663a66d4f76ab53c6635cee14d7f74b588c534d344e012",
-    "verdict.json": "8a86e7005abe79f7ca3b2d1f6b8a3f6d9e39ea750f957603cb21fce21c5c86d0",
+    "verdict.json": "9da80b518c53d7de763cd584204cc820213ae6c246efb791fa0d47c10377e3bb",
 }
 
 # fig3 --seed 7 --trials 9001 --steps 16: more trials than several chunks of
@@ -48,7 +48,7 @@ FIG3_9001_GOLDEN = {
     "hist_sqrt_imag_channel.csv":
         "abba6219083f5f44817c81bd911ab01c2444be3a4af79ac5f5f337a29c2550c5",
     "fig3_overlay.svg": "e185aa109cff04129fc6d23fedc3b9ccdde7e678bab734237721c868547a0931",
-    "verdict.json": "b44b4d2f7edc0a777b22bc4256a35e1cd613603593e5ec0dafc29656966a9ef1",
+    "verdict.json": "2d327d80b214f411c0627670ef03ae6dce10bc7dd33655235e2a1b242dafa57d",
 }
 
 # sha256 of every file a triangle, geometry or kernels run writes, keyed by
@@ -138,7 +138,7 @@ TRIANGLE_40_BOTH_GOLDEN = {
     "rows/quantum_n0039.csv": "0441365615d58e072ad442830ba55fdef8d0f345b4f0d7002027680ef2451d14",
     "rows/quantum_n0040.csv": "ecf98d2a524bab3b1edc9d5515e5fa564a469dba4c14c6f69ff8b4cad449abda",
     "sup_error.csv": "625216786c953658ad73d5058fdd28b6ac79346d3f89969658f51a927c7c9e0c",
-    "verdict.json": "1d07f7f28b5fb035b2121e972a8a552cbb7d4ff6949ac3dc076d5f21d9d1b9e4",
+    "verdict.json": "1a85498aacb8524b66c56d880895571b57d63f4c25ef752724993ed155a55724",
 }
 
 TRIANGLE_25_QUANTUM_GOLDEN = {
@@ -169,18 +169,19 @@ TRIANGLE_25_QUANTUM_GOLDEN = {
     "rows/quantum_n0024.csv": "a1e6873e130698ace800dc7804a77399f4a08199c211a037a7c5b5fd2ac20793",
     "rows/quantum_n0025.csv": "d7d46a58fe9aef4c26735133c1a737cb327580b79bc617af7cb59e5c986fda7f",
     "sup_error.csv": "ad77ef29a8fbff0ed6a798d3287c960181907a40fcb90e1dd88ae6ff20cb704c",
-    "verdict.json": "699a67e4af3e40f0d00403888939355a13dc092a58d6b7afd4bda2f8d2dac84c",
+    "verdict.json": "1a85498aacb8524b66c56d880895571b57d63f4c25ef752724993ed155a55724",
 }
 
 GEOMETRY_ALL_GOLDEN = {
-    "geometry_report.json": "13b7683c9b48fe9427bf78bfeb3326314e0a30dfa2ec8983fa64518d47612a21",
+    "geometry_report.json": "64ff51e1e1872eb63044103404b70aa0b6b74c5cfe9ef0cf6307c716d8536913",
+    "verdict.json": "d36a0dba0e47df3b04ddd3724f6629953439039420fa3af4bc04927823bb3874",
 }
 
 KERNELS_GOLDEN = {
     "heat_kernel_grid.csv": "1e25ff462f1f59f032e80b5456f8765f8c3278c5f1eca4b8116d2b2cd8f86c38",
     "schrodinger_kernel_grid.csv":
         "465491e60acce39e819a2ac0078b0f2589acb0cfd570460bf66bb304c7c60d9d",
-    "verdict.json": "1ec0de26b593d6e103a7b295d00b67d23bc4f7d88c1b0bf3d78ca07de80258c9",
+    "verdict.json": "1a1294b237820f846e5ca9b8caf1c5700a2478938f3d2657b0f4d563ef769189",
 }
 
 SUBCOMMAND_GOLDEN = {

@@ -354,17 +354,15 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
     checks = []
     reports = {}
-    fits = {}
     named = [("brownian_endpoints", brownian_scaled),
              ("sqrt_real_channel", real_ch),
              ("sqrt_imag_channel", imag_ch)]
     for name, samples in named:
-        report = stats.stats_report(samples, stats.std_normal_cdf, args.alpha)
-        reports[name] = asdict(report)
-        fits[name] = {"mu": report.mean, "sigma": math.sqrt(report.variance)}
+        ks = stats.ks_one_sample(samples, stats.std_normal_cdf)
         # the benchmark gate reads the ks_* names and their passed
-        checks.append(_check(f"ks_{name}_vs_normal", report.ks_statistic,
-                             report.ks_threshold, alpha=args.alpha))
+        checks.append(_check(f"ks_{name}_vs_normal", ks.statistic, ks.threshold_at(args.alpha),
+                             alpha=args.alpha))
+        reports[name] = asdict(stats.stats_report(samples))
     two = stats.ks_two_sample(real_ch, imag_ch)
     checks.append(_check("ks_two_sample_channels", two.statistic, two.threshold_at(args.alpha),
                          alpha=args.alpha))
@@ -392,7 +390,7 @@ def cmd_fig3(args: argparse.Namespace) -> int:
             "fig3", _flags(args), checks,
             # the benchmark gate reads square_identity
             square_identity={"max_step_residual": max_step, "max_path_residual": max_path},
-            gaussian_fits=fits, channel_reports=reports)
+            channel_reports=reports)
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
@@ -428,14 +426,16 @@ def cmd_triangle(args: argparse.Namespace) -> int:
             gauss = triangle.gaussian_approx_row(n)
             sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss) for which in kinds)))
 
+        # Classical rows alone are not judged: that run's checks are empty.
+        checks, details = [], {}
         if "quantum" in kinds:
             _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
+            checks.append(_check("max_modulus_residual", max_residual, 1e-10))
+            # the benchmark gate reads max_modulus_residual here
+            details["max_modulus_residual"] = max_residual
         _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
 
-        return run.finish("triangle", _flags(args),
-                          [_check("max_modulus_residual", max_residual, 1e-10)],
-                          # the benchmark gate reads max_modulus_residual here
-                          max_modulus_residual=max_residual)
+        return run.finish("triangle", _flags(args), checks, **details)
 
 
 def cmd_geometry(args: argparse.Namespace) -> int:

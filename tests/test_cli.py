@@ -197,11 +197,13 @@ def test_manifest_records_config_hash(tmp_path):
 def test_fig3_verdict_embeds_channel_reports(tmp_path):
     _, out = run_fig3(tmp_path)
     verdict = json.loads((out / "verdict.json").read_text())
-    report = verdict["channel_reports"]["sqrt_real_channel"]
-    assert set(report) == {"mean", "variance", "skewness", "excess_kurtosis",
-                           "ks_statistic", "ks_threshold"}
-    assert abs(report["mean"]) <= 1e-12
-    assert report["variance"] == pytest.approx(1.0, abs=1e-12)
+    assert set(verdict) == {"checks", "all_passed", "square_identity", "channel_reports"}
+    assert "gaussian_fits" not in verdict
+    reports = verdict["channel_reports"]
+    assert set(reports) == {"brownian_endpoints", "sqrt_real_channel", "sqrt_imag_channel"}
+    for report in reports.values():
+        assert set(report) == {"skewness", "excess_kurtosis"}
+        assert all(math.isfinite(value) for value in report.values())
 
 
 def test_config_file_rejects_unknown_keys(tmp_path):
@@ -235,6 +237,10 @@ def test_triangle_classical_rows(tmp_path):
     assert len(rows) == 5
     last = rows[-1].read_text().strip().split("\n")
     assert [line.split(",")[1] for line in last[1:]] == ["1", "4", "6", "4", "1"]
+    # no amplitude row is built, so no check is made
+    verdict = json.loads((out / "verdict.json").read_text())
+    assert verdict == {"checks": [], "all_passed": True}
+    assert not (out / "modulus_residuals.csv").exists()
 
 
 def test_triangle_quantum_residual_verdict(tmp_path):

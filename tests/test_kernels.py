@@ -115,6 +115,10 @@ def test_wick_identity_residual_on_grid():
 def test_wick_identity_rejects_mismatched_constants():
     with pytest.raises(ValueError):
         wick_identity_residual(KernelSpec(diffusion_D=1.0), KernelSpec(), [(0.0, 1.0)])
+    # just outside the 1e-12 relative tolerance
+    off = KernelSpec(diffusion_D=0.5 * (1.0 + 1.5e-12))
+    with pytest.raises(ValueError, match="constants mismatch"):
+        wick_identity_residual(off, SPEC, [(0.0, 1.0)])
 
 
 def test_wick_identity_rejects_a_non_finite_dictionary():
@@ -139,6 +143,8 @@ def test_nan_gap_makes_the_residual_nan(monkeypatch, bad_index):
 def test_wick_identity_rejects_nonpositive_times():
     with pytest.raises(ValueError):
         wick_identity_residual(SPEC, SPEC, [(0.0, -1.0)])
+    with pytest.raises(ValueError, match="grid times must be positive"):
+        wick_identity_residual(SPEC, SPEC, [(0.5, 1.0), (0.0, 0.0)])
 
 
 def test_complex_time_kernel_matches_real_time_on_positive_axis():

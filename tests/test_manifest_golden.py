@@ -15,7 +15,7 @@ from parcelwalk.cli import EXIT_OK, main
 
 MANIFEST_GOLDEN = {
     "fig3": (["fig3", "--seed", "7", "--trials", "300", "--steps", "16"],
-             "fe9674a5c7a39af1f07008bdb030a7f47749888fa04618a16639cd6d834e5553"),
+             "dc7c8a465275992cfd089614d0278377a561b6cfab3b672e50d2c1969ec63267"),
     "triangle-40-both": (["triangle", "--n-max", "40", "--kind", "both"],
                          "f5d8d65a9f1d6d5f2904838d88b483ef5f9f8dbc342e99934e51dedcb106a041"),
     "triangle-25-quantum": (["triangle", "--n-max", "25", "--kind", "quantum"],

@@ -1,16 +1,17 @@
 """Command-line entry point: run the experiments and emit CSV/JSON/SVG artifacts.
 
 Subcommands: ``fig3`` (Brownian vs Wick-rotated square-root histogram
-comparison), ``triangle`` (row dumps and Gaussian-convergence tables),
-``geometry`` (circle/oscillator/sphere quantization reports), ``kernels``
-(grid dumps and the imaginary-time identity residual).
+comparison), ``triangle`` (one table of rows per kind and Gaussian-convergence
+tables), ``geometry`` (circle/oscillator/sphere quantization reports),
+``kernels`` (grid dumps and the imaginary-time identity residual).
 
 The parser checks each flag (a ``fig3 --config`` value too); each subcommand
 checks what two flags set together, computes, and writes through one
 ``_RunDir``.  It owns the output directory: it stages every artifact inside
 it and, once the run has finished, moves them into place with
 ``manifest.json`` last, which holds the resolved configuration and a sha256
-per artifact keyed by bare file name.  A run that fails anywhere before that
+per artifact keyed by its file name; every artifact sits directly in the
+output directory.  A run that fails anywhere before that
 leaves the directory as it was.  Every pass/fail decision is a check record
 built by ``_check``; each subcommand hands its list to ``_RunDir.finish``,
 which alone writes ``verdict.json`` (the records and ``all_passed``) and
@@ -34,7 +35,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import suppress
+from contextlib import ExitStack, suppress
 from dataclasses import asdict
 from itertools import starmap
 from pathlib import Path
@@ -206,14 +207,13 @@ class _RunDir:
     gone, so ``out`` never holds a manifest whose checksums do not match its
     files.  A run that fails before ``finish``
     leaves ``out`` as it was, and removes ``out`` and each parent of it that
-    it created.  Manifest keys are bare file names (those in ``rows/`` too):
-    the benchmark gate looks them up so; a rerun removes the old run's files
-    it does not rewrite.
+    it created.  Every artifact is a file directly in ``out``, and its
+    manifest key is its file name; a rerun removes the old run's files it
+    does not rewrite.
     """
 
-    def __init__(self, out: str, *subdirs: str) -> None:
+    def __init__(self, out: str) -> None:
         self.dir = Path(out)
-        self.subdirs = subdirs
         self.names: list[str] = []
 
     def __enter__(self) -> _RunDir:
@@ -222,8 +222,6 @@ class _RunDir:
         self.dir.mkdir(parents=True, exist_ok=True)
         # Inside ``out``, so that every move in ``finish`` stays on one filesystem.
         self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.dir))
-        for sub in self.subdirs:
-            (self.staging / sub).mkdir()
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -234,7 +232,7 @@ class _RunDir:
                 path.rmdir()
 
     def path(self, name: str) -> Path:
-        """Staged path of the artifact ``name`` (relative to the directory), to be written next."""
+        """Staged path of the artifact file ``name``, to be written next."""
         self.names.append(name)
         return self.staging / name
 
@@ -252,7 +250,7 @@ class _RunDir:
         artifacts = {}
         for name in self.names:
             digest, size = _file_digest(self.staging / name)
-            artifacts[Path(name).name] = {"sha256": digest, "bytes": size}
+            artifacts[name] = {"sha256": digest, "bytes": size}
         canonical = json.dumps(config, sort_keys=True).encode("utf-8")
         self.write_json("manifest.json", {
             "command": command,
@@ -261,8 +259,6 @@ class _RunDir:
             "artifacts": artifacts,
         })
         stale = self._stale_files()
-        for sub in self.subdirs:
-            (self.dir / sub).mkdir(exist_ok=True)
         (self.dir / "manifest.json").unlink(missing_ok=True)
         for path in stale:
             path.unlink(missing_ok=True)
@@ -272,16 +268,14 @@ class _RunDir:
 
     def _stale_files(self) -> list[Path]:
         """The old manifest's files, unchanged, that this run does not write (bare names only)."""
-        written = {Path(name).name for name in self.names}
         try:
             old = json.loads((self.dir / "manifest.json").read_bytes())["artifacts"]
-            entries = [(name, entry["bytes"], entry["sha256"]) for name, entry in old.items()
-                       if name not in written and name == Path(name).name]
+            entries = [(self.dir / name, entry["bytes"], entry["sha256"])
+                       for name, entry in old.items()
+                       if name not in self.names and name == Path(name).name]
         except (OSError, ValueError, LookupError, TypeError, AttributeError):
             return []
-        folders = [self.dir, *(path for path in self.dir.iterdir() if path.is_dir()
-                               and not (path.is_symlink() or path.name.startswith(".staging-")))]
-        return [path for name, size, digest in entries for path in (f / name for f in folders)
+        return [path for path, size, digest in entries
                 if path.is_file() and path.stat().st_size == size
                 and _file_digest(path)[0] == digest]
 
@@ -394,37 +388,42 @@ def cmd_fig3(args: argparse.Namespace) -> int:
 
 
 def cmd_triangle(args: argparse.Namespace) -> int:
-    """Row dumps plus the amplitude-vs-binomial residual and convergence tables.
+    """One table of rows per kind, plus the amplitude-vs-binomial residual and
+    convergence tables.
 
     One pass builds each row once, with its profile: the classical row by
-    Pascal addition, the quantum row from its pmf.  The row files, residuals
-    and sup errors (against one Gaussian row per ``n``) read those profiles.
+    Pascal addition, the quantum row from its pmf.  The tables of rows
+    (``classical_rows.csv``, ``quantum_rows.csv``), residuals and sup errors
+    (against one Gaussian row per ``n``) read those profiles.
     """
     n_max, kind = args.n_max, args.kind
     kinds = ["classical", "quantum"] if kind == "both" else [kind]
-    with _RunDir(args.out, "rows") as run:
-        def dump(row: triangle.TriangleRow) -> None:
-            run.write_text(f"rows/{row.kind}_n{row.n:04d}.csv", triangle.row_csv(row))
-
-        classical = triangle.classical_row(0)
-        if "classical" in kinds:
-            dump(classical)
-        max_residual = 0.0
-        residual_rows = []
-        sup_rows = []
-        for n in range(1, n_max + 1):
-            classical = triangle.next_classical_row(classical)
-            rows = {"classical": classical}
-            if "classical" in kinds:
-                dump(classical)
-            if "quantum" in kinds:
-                quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
-                dump(quantum)
-                residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
-                residual_rows.append((n, residual))
-                max_residual = max(max_residual, residual)
-            gauss = triangle.gaussian_approx_row(n)
-            sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss) for which in kinds)))
+    with _RunDir(args.out) as run:
+        # Each table is closed before finish hashes it.
+        with ExitStack() as stack:
+            tables = {which: stack.enter_context(
+                run.path(f"{which}_rows.csv").open("w", encoding="utf-8")) for which in kinds}
+            for which, table in tables.items():
+                table.write(triangle.ROW_CSV_HEADER[which])
+            classical = triangle.classical_row(0)
+            if "classical" in tables:
+                tables["classical"].write(triangle.row_csv(classical))
+            max_residual = 0.0
+            residual_rows = []
+            sup_rows = []
+            for n in range(1, n_max + 1):
+                classical = triangle.next_classical_row(classical)
+                rows = {"classical": classical}
+                if "quantum" in kinds:
+                    quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
+                    residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
+                    residual_rows.append((n, residual))
+                    max_residual = max(max_residual, residual)
+                for which, table in tables.items():
+                    table.write(triangle.row_csv(rows[which]))
+                gauss = triangle.gaussian_approx_row(n)
+                sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss)
+                                      for which in kinds)))
 
         # Classical rows alone are not judged: that run's checks are empty.
         checks, details = [], {}
@@ -532,22 +531,6 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         return run.finish("geometry", _flags(args), checks)
 
 
-def _linspace(start: float, stop: float, num: int) -> list[float]:
-    """``np.linspace(start, stop, num)`` as Python floats, bit for bit, for ``num >= 2``."""
-    if num < 2:
-        raise ValueError(f"a grid needs at least 2 points, got {num}")
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    if step == 0:
-        # numpy's branch for a step that underflows (a subnormal or zero span)
-        points = [i / div * delta + start for i in range(num)]
-    else:
-        points = [i * step + start for i in range(num)]
-    points[-1] = stop
-    return points
-
-
 # Points of the kernels grid in x and in t; the manifest records them.
 _KERNEL_GRID = {"n_x": 40, "n_t": 25}
 
@@ -562,8 +545,10 @@ def cmd_kernels(args: argparse.Namespace) -> int:
     if not (diffusion > 0 and math.isfinite(diffusion)):
         raise UsageError(f"hbar/(2*mass) must be positive and finite, got {diffusion}")
     spec = kernels.KernelSpec(diffusion_D=diffusion, hbar=hbar, mass_m=mass)
-    xs = _linspace(-4.0, 4.0, _KERNEL_GRID["n_x"])
-    ts = _linspace(0.1, 2.5, _KERNEL_GRID["n_t"])
+    # np.linspace(-4, 4, n_x) and np.linspace(0.1, 2.5, n_t), bit for bit, without numpy
+    n_x, n_t = _KERNEL_GRID["n_x"], _KERNEL_GRID["n_t"]
+    xs = [-4.0 + i * (8.0 / (n_x - 1)) for i in range(n_x - 1)] + [4.0]
+    ts = [0.1 + i * ((2.5 - 0.1) / (n_t - 1)) for i in range(n_t - 1)] + [2.5]
     # 4*pi*D*t, m/(2*pi*hbar*t) and the phase m*x**2/(2*hbar*t) at the grid's edges
     t_lo, t_hi = ts[0], ts[-1]
     try:

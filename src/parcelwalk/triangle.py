@@ -140,21 +140,26 @@ def row_sup_error(n: int, kind: str) -> float:
     return sup_error(row.probs, gaussian_approx_row(n))
 
 
-def row_csv(row: TriangleRow) -> str:
-    """CSV text for one row's values and profile: k,count,pmf or k,re,im,modulus2.
+# The header of each kind's table of rows; ``row_csv`` writes its lines.
+ROW_CSV_HEADER = {"classical": "n,k,count,pmf\n", "quantum": "n,k,re,im,modulus2\n"}
 
-    Each value is written as ``str`` of the count and ``repr`` of a float.
-    An entry past the middle that equals its mirror entry ``n - k`` (for an
-    amplitude: the mirror's conjugate) reuses that entry's text, with the
-    sign of the imaginary part flipped; the equality is checked per entry,
-    and an entry with a zero component is formatted on its own, since 0.0 ==
-    -0.0 while their texts differ.
+
+def row_csv(row: TriangleRow) -> str:
+    """One row's lines of its kind's table: n,k,count,pmf or n,k,re,im,modulus2.
+
+    There is no header (see ``ROW_CSV_HEADER``).  Each value is written as
+    ``str`` of the count and ``repr`` of a float.  An entry past the middle
+    that equals its mirror entry ``n - k`` (for an amplitude: the mirror's
+    conjugate) reuses that entry's text, with the sign of the imaginary part
+    flipped; the equality is checked per entry, and an entry with a zero
+    component is formatted on its own, since 0.0 == -0.0 while their texts
+    differ.
     """
-    values, probs = row.values, row.probs
+    n, values, probs = row.n, row.values, row.probs
     last = len(values) - 1
     fields = []
+    lines = []
     if row.kind == "classical":
-        lines = ["k,count,pmf"]
         for k, (c, p) in enumerate(zip(values, probs)):
             j = last - k
             if j < k and c and p and c == values[j] and p == probs[j]:
@@ -162,9 +167,8 @@ def row_csv(row: TriangleRow) -> str:
             else:
                 text = f"{c},{p!r}"
             fields.append(text)
-            lines.append(f"{k},{text}")
+            lines.append(f"{n},{k},{text}")
         return "\n".join(lines) + "\n"
-    lines = ["k,re,im,modulus2"]
     for k, (a, p) in enumerate(zip(values, probs)):
         j = last - k
         re, im = a.real, a.imag
@@ -175,5 +179,5 @@ def row_csv(row: TriangleRow) -> str:
         else:
             re_text, im_text, p_text = repr(re), repr(im), repr(p)
         fields.append((re_text, im_text, p_text))
-        lines.append(f"{k},{re_text},{im_text},{p_text}")
+        lines.append(f"{n},{k},{re_text},{im_text},{p_text}")
     return "\n".join(lines) + "\n"

@@ -21,6 +21,12 @@ from parcelwalk.triangle import gaussian_approx_row
 FAST_FIG3 = ["--seed", "1", "--trials", "2000", "--steps", "50", "--bins", "30"]
 
 
+def read_table(path):
+    """A CSV file's header line and its other lines split into fields."""
+    header, *lines = path.read_text(encoding="utf-8").splitlines()
+    return header, [line.split(",") for line in lines]
+
+
 def run_fig3(tmp_path, extra=()):
     out = tmp_path / "run"
     code = main(["fig3", *FAST_FIG3, "--out", str(out), *extra])
@@ -233,10 +239,11 @@ def test_triangle_classical_rows(tmp_path):
     out = tmp_path / "tri"
     code = main(["triangle", "--n-max", "4", "--kind", "classical", "--out", str(out)])
     assert code == EXIT_OK
-    rows = sorted((out / "rows").glob("classical_n*.csv"))
-    assert len(rows) == 5
-    last = rows[-1].read_text().strip().split("\n")
-    assert [line.split(",")[1] for line in last[1:]] == ["1", "4", "6", "4", "1"]
+    header, rows = read_table(out / "classical_rows.csv")
+    assert header == "n,k,count,pmf"
+    assert len(rows) == 15
+    assert [count for n, _, count, _ in rows if n == "4"] == ["1", "4", "6", "4", "1"]
+    assert not (out / "quantum_rows.csv").exists()
     # no amplitude row is built, so no check is made
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict == {"checks": [], "all_passed": True}
@@ -254,12 +261,31 @@ def test_triangle_quantum_residual_verdict(tmp_path):
 
 
 def test_triangle_both_emits_two_kinds(tmp_path):
+    # Tables smaller than one write buffer: each is closed before it is hashed.
+    for n_max in ("1", "2"):
+        out = tmp_path / f"tri{n_max}"
+        assert main(["triangle", "--n-max", n_max, "--kind", "both", "--out", str(out)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        for name, entry in manifest["artifacts"].items():
+            data = (out / name).read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == \
+                (entry["bytes"], entry["sha256"]), (n_max, name)
     out = tmp_path / "tri"
-    assert main(["triangle", "--n-max", "3", "--kind", "both", "--out", str(out)]) == EXIT_OK
-    assert (out / "rows" / "classical_n0003.csv").exists()
-    assert (out / "rows" / "quantum_n0003.csv").exists()
+    assert main(["triangle", "--n-max", "40", "--kind", "both", "--out", str(out)]) == EXIT_OK
     header = (out / "sup_error.csv").read_text().splitlines()[0]
     assert header == "n,classical_sup_error,quantum_sup_error"
+    # Both tables round-trip bit for bit, the signed zeros of row 1 included.
+    header, rows = read_table(out / "classical_rows.csv")
+    assert header == "n,k,count,pmf"
+    assert [(int(n), int(k), int(count), float(pmf).hex()) for n, k, count, pmf in rows] == [
+        (n, k, count, pmf.hex()) for n in range(41) for row in [triangle.classical_row(n)]
+        for k, (count, pmf) in enumerate(zip(row.values, row.probs))]
+    header, rows = read_table(out / "quantum_rows.csv")
+    assert header == "n,k,re,im,modulus2"
+    assert [(int(n), int(k), *(float(x).hex() for x in floats)) for n, k, *floats in rows] == [
+        (n, k, a.real.hex(), a.imag.hex(), p.hex()) for n in range(1, 41)
+        for row in [triangle.qtpt_row(n)] for k, (a, p) in enumerate(zip(row.values, row.probs))]
+    assert [im for n, _, _, im, _ in rows if n == "1"] == ["0.0", "0.0"]
 
 
 def test_triangle_builds_one_gaussian_row_per_n(tmp_path, monkeypatch):

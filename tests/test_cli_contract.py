@@ -61,6 +61,21 @@ def test_every_run_writes_one_verdict_schema(tmp_path, monkeypatch, argv, plant)
     assert verdict["all_passed"] is (plant is None)
 
 
+@pytest.mark.parametrize("argv", [
+    ["fig3", "--trials", "500", "--steps", "8"],
+    ["triangle", "--n-max", "5"],
+    ["geometry", "--sphere-samples", "200"],
+    ["kernels"],
+], ids=["fig3", "triangle", "geometry", "kernels"])
+def test_out_holds_the_manifests_files_and_no_subdirectory(tmp_path, argv):
+    out = tmp_path / "run"
+    assert main([*argv, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert all(path.is_file() for path in out.iterdir())
+    assert sorted(path.name for path in out.iterdir()) == sorted(
+        [*manifest["artifacts"], "manifest.json"])
+
+
 def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     out = tmp_path / "geo"
     args = ["geometry", "--report", "sphere", "--sphere-samples", "0", "--out", str(out)]

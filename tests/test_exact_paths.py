@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from parcelwalk.cli import _linspace
+from parcelwalk.cli import EXIT_OK, main
 from parcelwalk.clifford import pauli_basis, scalar_decompose
 from parcelwalk.geometry import sphere_map, sphere_map_square
 from parcelwalk.triangle import (
@@ -104,22 +104,16 @@ def test_sphere_map_stack_and_shape_guards():
         scalar_decompose(np.zeros((3, 3)))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@settings(max_examples=200, deadline=None)
-@given(st.sampled_from([2, 3, 25, 40, 1000]),
-       st.floats(allow_nan=False, allow_infinity=False),
-       st.floats(allow_nan=False, allow_infinity=False))
-def test_linspace_matches_numpy(num, start, stop):
-    expected = [float(x).hex() for x in np.linspace(start, stop, num)]
-    assert [x.hex() for x in _linspace(start, stop, num)] == expected
-
-
-def test_linspace_cli_grids_and_guard():
-    for start, stop, num in ((-4.0, 4.0, 40), (0.1, 2.5, 25)):
-        assert _linspace(start, stop, num) == np.linspace(start, stop, num).tolist()
-    for num in (1, 0, -3):
-        with pytest.raises(ValueError):
-            _linspace(0.0, 1.0, num)
+def test_kernels_grids_equal_numpy_linspace(tmp_path):
+    out = tmp_path / "ker"
+    assert main(["kernels", "--out", str(out)]) == EXIT_OK
+    _, *lines = (out / "heat_kernel_grid.csv").read_text(encoding="utf-8").splitlines()
+    points = [[float(value) for value in line.split(",")[:2]] for line in lines]
+    xs = [x.hex() for x, _ in points[:40]]
+    ts = [t.hex() for _, t in points[::40]]
+    assert [[x.hex(), t.hex()] for x, t in points] == [[x, t] for t in ts for x in xs]
+    assert xs == [float(x).hex() for x in np.linspace(-4.0, 4.0, 40)]
+    assert ts == [float(t).hex() for t in np.linspace(0.1, 2.5, 25)]
 
 
 def test_pascal_rows_equal_math_comb_rows():

@@ -4,8 +4,8 @@
 output directory, so each run here writes to the relative ``--out run`` from
 its own working directory, which makes the manifest's bytes reproducible.
 The pins hold the format that the benchmark gate reads (artifacts keyed by
-bare file name); a deliberate change of that format updates them and says
-so once in CHANGES.md.
+their file names in the output directory); a deliberate change of that
+format updates them and says so once in CHANGES.md.
 """
 import hashlib
 
@@ -17,9 +17,9 @@ MANIFEST_GOLDEN = {
     "fig3": (["fig3", "--seed", "7", "--trials", "300", "--steps", "16"],
              "dc7c8a465275992cfd089614d0278377a561b6cfab3b672e50d2c1969ec63267"),
     "triangle-40-both": (["triangle", "--n-max", "40", "--kind", "both"],
-                         "f5d8d65a9f1d6d5f2904838d88b483ef5f9f8dbc342e99934e51dedcb106a041"),
+                         "f682778a996cee0422321f233e35420158938519d078b06b77f6f551fc9b1e04"),
     "triangle-25-quantum": (["triangle", "--n-max", "25", "--kind", "quantum"],
-                            "36fd638745f8e371678444c2f65a7f52ebc750010961b10a16fd820b2c938fb9"),
+                            "5297b2591181c154f7c74454ddd40c1a7c47b91c198a8c48975dfa884f3fe5ef"),
     "geometry-all": (["geometry", "--report", "all", "--circle-n", "64",
                       "--sphere-samples", "2000", "--seed", "3"],
                      "bcf8c0500fec76756b884bcc90637f17523eb38973847074846c319e42e27ddb"),

@@ -34,8 +34,7 @@ def assert_manifest_absent_or_current(out):
         return
     manifest = json.loads(path.read_text(encoding="utf-8"))
     for name, entry in manifest["artifacts"].items():
-        [artifact] = [p for p in out.rglob(name) if p.is_file()]
-        data = artifact.read_bytes()
+        data = (out / name).read_bytes()
         assert hashlib.sha256(data).hexdigest() == entry["sha256"], name
         assert len(data) == entry["bytes"], name
 
@@ -178,7 +177,8 @@ def test_no_staging_directory_is_left_behind(tmp_path, monkeypatch):
     assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_OK
     assert not list(out.rglob(".staging-*"))
     assert sorted(p.name for p in out.iterdir()) == [
-        "manifest.json", "modulus_residuals.csv", "rows", "sup_error.csv", "verdict.json"]
+        "classical_rows.csv", "manifest.json", "modulus_residuals.csv", "quantum_rows.csv",
+        "sup_error.csv", "verdict.json"]
     fail_at_row_7(monkeypatch)
     assert main([*TRIANGLE_ARGS, "--out", str(out)]) == EXIT_IO
     assert not list(out.rglob(".staging-*"))
@@ -187,23 +187,23 @@ def test_no_staging_directory_is_left_behind(tmp_path, monkeypatch):
 
 def test_a_rerun_removes_the_old_runs_files_it_does_not_write(tmp_path):
     out = tmp_path / "run"
-    assert main(["triangle", "--n-max", "9", "--out", str(out)]) == EXIT_OK
-    assert main(["triangle", "--n-max", "5", "--out", str(out)]) == EXIT_OK
+    assert main([*TRIANGLE_ARGS, "--kind", "both", "--out", str(out)]) == EXIT_OK
+    assert main([*TRIANGLE_ARGS, "--kind", "classical", "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
-    files = sorted(p.name for p in out.rglob("*") if p.is_file() and p.name != "manifest.json")
-    assert files == sorted(manifest["artifacts"])
-    assert len(files) == 14
+    files = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    assert files == sorted(manifest["artifacts"]) == [
+        "classical_rows.csv", "sup_error.csv", "verdict.json"]
     assert_manifest_absent_or_current(out)
 
 
 def test_a_rerun_keeps_a_stale_file_that_was_edited(tmp_path):
     out = tmp_path / "run"
-    assert main(["triangle", "--n-max", "9", "--out", str(out)]) == EXIT_OK
-    edited = out / "rows" / "quantum_n0009.csv"
+    assert main([*TRIANGLE_ARGS, "--kind", "both", "--out", str(out)]) == EXIT_OK
+    edited = out / "quantum_rows.csv"
     edited.write_text("mine\n", encoding="utf-8")
-    assert main(["triangle", "--n-max", "5", "--out", str(out)]) == EXIT_OK
+    assert main([*TRIANGLE_ARGS, "--kind", "classical", "--out", str(out)]) == EXIT_OK
     assert edited.read_text(encoding="utf-8") == "mine\n"
-    assert not (out / "rows" / "quantum_n0008.csv").exists()
+    assert not (out / "modulus_residuals.csv").exists()
 
 
 def test_a_planted_manifest_key_deletes_nothing_outside_out(tmp_path):

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from parcelwalk.triangle import (
+    ROW_CSV_HEADER,
     TriangleRow,
     binomial_pmf,
     classical_row,
@@ -129,24 +130,21 @@ def test_row_sup_error_strictly_decreasing():
 
 
 def test_row_csv_format():
-    text = row_csv(classical_row(2))
-    lines = text.strip().split("\n")
-    assert lines[0] == "k,count,pmf"
-    assert len(lines) == 4
-    assert lines[2].startswith("1,2,")
-    text = row_csv(qtpt_row(1))
-    assert text.startswith("k,re,im,modulus2\n")
-    assert len(text.strip().split("\n")) == 3
+    assert ROW_CSV_HEADER == {"classical": "n,k,count,pmf\n", "quantum": "n,k,re,im,modulus2\n"}
+    assert row_csv(classical_row(2)) == "2,0,1,0.25\n2,1,2,0.5\n2,2,1,0.25\n"
+    lines = row_csv(qtpt_row(1)).splitlines()
+    assert [line.split(",")[:3] for line in lines] == [["1", "0", "0.7071067811865476"],
+                                                        ["1", "1", "0.7071067811865476"]]
+    assert [len(line.split(",")) for line in lines] == [5, 5]
 
 
 def per_entry_row_csv(row) -> str:
     """``row_csv`` with every entry formatted on its own."""
     if row.kind == "classical":
-        lines = ["k,count,pmf"] + [f"{k},{c},{p!r}"
-                                   for k, (c, p) in enumerate(zip(row.values, row.probs))]
+        lines = [f"{row.n},{k},{c},{p!r}" for k, (c, p) in enumerate(zip(row.values, row.probs))]
     else:
-        lines = ["k,re,im,modulus2"] + [f"{k},{a.real!r},{a.imag!r},{p!r}"
-                                        for k, (a, p) in enumerate(zip(row.values, row.probs))]
+        lines = [f"{row.n},{k},{a.real!r},{a.imag!r},{p!r}"
+                 for k, (a, p) in enumerate(zip(row.values, row.probs))]
     return "\n".join(lines) + "\n"
 
 

@@ -3,7 +3,8 @@
 Subcommands: ``fig3`` (Brownian vs Wick-rotated square-root histogram
 comparison), ``triangle`` (one table of rows per kind and Gaussian-convergence
 tables), ``geometry`` (circle/oscillator/sphere quantization reports),
-``kernels`` (grid dumps and the imaginary-time identity residual).
+``kernels`` (one table of both kernels on a grid and the imaginary-time
+identity residual).
 
 The parser checks each flag (a ``fig3 --config`` value too); each subcommand
 checks what two flags set together, computes, and writes through one
@@ -438,7 +439,11 @@ def cmd_triangle(args: argparse.Namespace) -> int:
 
 
 def cmd_geometry(args: argparse.Namespace) -> int:
-    """JSON quantization reports for the circle, oscillator, and sphere checks.
+    """Circle, oscillator and sphere quantization checks.
+
+    ``geometry_report.json`` holds only what ``verdict.json`` and the manifest
+    do not: the circle's wrap value and length rule, the oscillator rows and
+    the sphere's ``+1`` fraction.
 
     Each oscillator row is checked where it is built: a row that ``--hbar``
     and ``--omega`` take out of float range is a usage error, raised before
@@ -472,10 +477,10 @@ def cmd_geometry(args: argparse.Namespace) -> int:
                 "energy": energy,
                 "classical_volume": volumes.classical_volume,
                 "quantized_volume": volumes.quantized_volume,
-                "gap": abs(volumes.classical_volume - volumes.quantized_volume),
             })
-        sections["oscillator"] = {"hbar": hbar, "omega": omega, "rows": rows}
-        worst_gap = max(row["gap"] / max(1.0, row["classical_volume"]) for row in rows)
+        sections["oscillator"] = {"rows": rows}
+        worst_gap = max(abs(row["classical_volume"] - row["quantized_volume"])
+                        / max(1.0, row["classical_volume"]) for row in rows)
         checks.append(_check("oscillator_relative_gap", worst_gap, 1e-12))
 
     if report in ("circle", "all"):
@@ -485,10 +490,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         lengths = {length: geometry.length_quantization_check(length, tol=1e-6)
                    for length in expected_n}
         sections["circle"] = {
-            "n_points": circle_n,
-            "interior_residual": interior,
             "wrap_value": wrap,
-            "expected_wrap": 1 - circle_n,
             "length_checks": {repr(length): n for length, n in lengths.items()},
         }
         checks += [
@@ -513,14 +515,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
             worst_offdiag = max(worst_offdiag, float(offdiag.max()))
             worst_scalar_gap = max(worst_scalar_gap, float(np.hypot(gap.real, gap.imag).max()))
             n_plus += int(np.count_nonzero(expected > 0))
-        sections["sphere"] = {
-            "samples": sphere_samples,
-            "seed": seed,
-            "plus_one_fraction": n_plus / sphere_samples,
-            "minus_one_fraction": (sphere_samples - n_plus) / sphere_samples,
-            "max_offdiag_residual": worst_offdiag,
-            "max_scalar_gap": worst_scalar_gap,
-        }
+        sections["sphere"] = {"plus_one_fraction": n_plus / sphere_samples}
         checks += [_check("sphere_max_offdiag_residual", worst_offdiag, 1e-12),
                    _check("sphere_max_scalar_gap", worst_scalar_gap, 1e-12)]
 
@@ -536,7 +531,7 @@ _KERNEL_GRID = {"n_x": 40, "n_t": 25}
 
 
 def cmd_kernels(args: argparse.Namespace) -> int:
-    """Kernel grid dumps plus the imaginary-time identity residual.
+    """Both kernels on one (x, t) grid table, plus the imaginary-time identity residual.
 
     The diffusion coefficient is the one the identity holds for, D = hbar/(2m).
     """
@@ -562,11 +557,10 @@ def cmd_kernels(args: argparse.Namespace) -> int:
                          "out of the normal float range on the grid")
     grid = [(x, t) for t in ts for x in xs]
     with _RunDir(args.out) as run:
-        _write_csv(run.path("heat_kernel_grid.csv"), ["x", "t", "re", "im"],
-                   ((x, t, kernels.heat_kernel(spec, x, t), 0.0) for x, t in grid))
-        schrod_values = [(x, t, kernels.schrodinger_kernel(spec, x, t)) for x, t in grid]
-        _write_csv(run.path("schrodinger_kernel_grid.csv"), ["x", "t", "re", "im"],
-                   ((x, t, value.real, value.imag) for x, t, value in schrod_values))
+        _write_csv(run.path("kernel_grid.csv"),
+                   ["x", "t", "heat", "schrodinger_re", "schrodinger_im"],
+                   ((x, t, kernels.heat_kernel(spec, x, t), value.real, value.imag)
+                    for x, t in grid for value in [kernels.schrodinger_kernel(spec, x, t)]))
         residual = kernels.wick_identity_residual(spec, spec, grid)
         return run.finish("kernels", {**_flags(args), **_KERNEL_GRID},
                           [_check("wick_identity_residual", residual, 1e-12)])
@@ -623,7 +617,7 @@ def build_parser(fig3_config: dict | None = None) -> argparse.ArgumentParser:
     geo.add_argument("--seed", type=_int_in("seed", 0, 2**128 - 1), default=42)
     geo.add_argument("--out", type=str, default="out")
 
-    ker = sub.add_parser("kernels", help="kernel grid dumps and identity residual")
+    ker = sub.add_parser("kernels", help="kernel grid table and identity residual")
     ker.set_defaults(run=cmd_kernels)
     ker.add_argument("--hbar", type=_positive_float("hbar"), default=1.0)
     ker.add_argument("--mass", type=_positive_float("mass"), default=1.0)

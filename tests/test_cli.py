@@ -327,19 +327,23 @@ def test_geometry_full_report(tmp_path):
     assert code == EXIT_OK
     report = json.loads((out / "geometry_report.json").read_text())
     assert report["all_passed"] is True
+    assert set(report) == {"sections", "all_passed"}
     circle = report["sections"]["circle"]
+    assert set(circle) == {"wrap_value", "length_checks"}
     assert circle["wrap_value"] == -63.0
-    assert circle["interior_residual"] <= 1e-10
     assert circle["length_checks"][repr(2 * math.pi)] == 1
     assert circle["length_checks"]["7.0"] is None
-    assert len(report["sections"]["oscillator"]["rows"]) == 11
+    rows = report["sections"]["oscillator"]["rows"]
+    assert set(report["sections"]["oscillator"]) == {"rows"} and len(rows) == 11
+    assert all(set(row) == {"n", "energy", "classical_volume", "quantized_volume"}
+               for row in rows)
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["all_passed"] is True
     assert [check["name"] for check in verdict["checks"]] == [
         "oscillator_relative_gap", "circle_interior_residual", "circle_wrap_error",
         "circle_length_rule", "sphere_max_offdiag_residual", "sphere_max_scalar_gap"]
-    sphere = report["sections"]["sphere"]
-    assert sphere["plus_one_fraction"] + sphere["minus_one_fraction"] == pytest.approx(1.0)
+    assert set(report["sections"]["sphere"]) == {"plus_one_fraction"}
+    assert 0.0 < report["sections"]["sphere"]["plus_one_fraction"] < 1.0
 
 
 def test_geometry_single_section(tmp_path):
@@ -358,19 +362,20 @@ def test_kernels_report(tmp_path):
     verdict = json.loads((out / "verdict.json").read_text())
     [check] = verdict["checks"]
     assert check["name"] == "wick_identity_residual" and check["statistic"] <= 1e-12
-    assert (out / "heat_kernel_grid.csv").exists()
-    assert (out / "schrodinger_kernel_grid.csv").exists()
+    assert sorted(path.name for path in out.iterdir()) == [
+        "kernel_grid.csv", "manifest.json", "verdict.json"]
 
 
 def test_kernels_derives_the_diffusion_coefficient_from_hbar_and_mass(tmp_path):
     out = tmp_path / "ker"
     assert main(["kernels", "--hbar", "2", "--mass", "3", "--out", str(out)]) == EXIT_OK
     spec = kernels.KernelSpec(diffusion_D=1 / 3, hbar=2.0, mass_m=3.0)
-    header, *lines = (out / "heat_kernel_grid.csv").read_text().splitlines()
-    assert header == "x,t,re,im" and len(lines) == 1000
+    header, *lines = (out / "kernel_grid.csv").read_text().splitlines()
+    assert header == "x,t,heat,schrodinger_re,schrodinger_im" and len(lines) == 1000
     for line in lines:
-        x, t, re, im = map(float, line.split(","))
-        assert (re, im) == (kernels.heat_kernel(spec, x, t), 0.0)
+        x, t, heat, re, im = map(float, line.split(","))
+        assert heat == kernels.heat_kernel(spec, x, t)
+        assert complex(re, im) == kernels.schrodinger_kernel(spec, x, t)
     manifest = json.loads((out / "manifest.json").read_text())
     assert "diffusion" not in manifest["config"]
 

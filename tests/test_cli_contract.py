@@ -1,10 +1,17 @@
 """CLI run contract: one verdict schema, strict JSON artifacts and usage errors for empty inputs.
 
-A non-finite result fails the run instead of writing a bare ``NaN``.
+A non-finite result fails the run instead of writing a bare ``NaN``.  A
+property over drawn ``geometry`` and ``kernels`` argv, in range and out,
+checks the exit code and what each run leaves in ``--out``.
 """
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from parcelwalk import cli, geometry, kernels
 from parcelwalk.cli import EXIT_OK, EXIT_STAT, EXIT_USAGE, main
@@ -165,3 +172,57 @@ def test_kernels_usage_error_names_the_flag_or_the_quotient(tmp_path, capsys, ar
 def test_geometry_accepts_each_size_at_its_cap(tmp_path, report, flag, cap):
     assert main(["geometry", "--report", report, flag, str(cap),
                  "--out", str(tmp_path / "geo")]) == EXIT_OK
+
+
+# Each flag's values in range, kept small so that a drawn run is quick.
+VALID_FLAGS = {
+    "geometry": {"--report": st.sampled_from(["circle", "oscillator", "sphere", "all"]),
+                 "--circle-n": st.integers(4, 300),
+                 "--oscillator-n-max": st.integers(0, 40),
+                 "--hbar": st.floats(1e-3, 1e3),
+                 "--omega": st.floats(1e-3, 1e3),
+                 "--sphere-samples": st.integers(1, 5000),
+                 "--seed": st.integers(0, 2**128 - 1)},
+    "kernels": {"--hbar": st.floats(1e-3, 1e3), "--mass": st.floats(1e-3, 1e3)},
+}
+# Texts any flag may get: no integer among them is a size in range that takes long.
+ANY_TEXT = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "-0", "-0.0", "1e-320", "1e308", "1e400",
+                     str(2**64), str(2**128), "", "x", "torus", "1_0", " 7 "]),
+    st.floats().map(repr), st.integers(max_value=3).map(str),
+    st.integers(min_value=10**7 + 1).map(str))
+
+
+@st.composite
+def drawn_argv(draw):
+    command = draw(st.sampled_from(sorted(VALID_FLAGS)))
+    wild = draw(st.booleans())  # half the runs give each flag any text
+    texts = {flag: st.one_of(valid.map(str), ANY_TEXT) if wild else valid.map(str)
+             for flag, valid in VALID_FLAGS[command].items()}
+    flags = draw(st.fixed_dictionaries({}, optional=texts))
+    return [command, *(text for flag in flags.items() for text in flag)]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(argv=drawn_argv())
+def test_a_drawn_geometry_or_kernels_run_keeps_the_run_contract(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "parent" / "run"
+        code = main([*argv, "--out", str(out)])
+        event(f"{argv[0]} exit {code}")
+        assert code in (0, 1, 2, 3)
+        if code == EXIT_USAGE:
+            assert not (Path(tmp) / "parent").exists()
+        if code not in (EXIT_OK, EXIT_STAT):
+            return
+        documents = {path.name: json.loads(path.read_text(encoding="utf-8"),
+                                           parse_constant=pytest.fail)
+                     for path in out.glob("*.json")}
+        artifacts = documents["manifest.json"]["artifacts"]
+        assert sorted(path.name for path in out.iterdir()) == sorted(
+            [*artifacts, "manifest.json"])
+        for name, entry in artifacts.items():
+            data = (out / name).read_bytes()
+            assert (len(data), hashlib.sha256(data).hexdigest()) == (entry["bytes"],
+                                                                     entry["sha256"])
+        assert documents["verdict.json"]["all_passed"] is (code == EXIT_OK)

@@ -107,7 +107,7 @@ def test_sphere_map_stack_and_shape_guards():
 def test_kernels_grids_equal_numpy_linspace(tmp_path):
     out = tmp_path / "ker"
     assert main(["kernels", "--out", str(out)]) == EXIT_OK
-    _, *lines = (out / "heat_kernel_grid.csv").read_text(encoding="utf-8").splitlines()
+    _, *lines = (out / "kernel_grid.csv").read_text(encoding="utf-8").splitlines()
     points = [[float(value) for value in line.split(",")[:2]] for line in lines]
     xs = [x.hex() for x, _ in points[:40]]
     ts = [t.hex() for _, t in points[::40]]

@@ -124,8 +124,8 @@ def test_wrong_shift_or_mode_ladder_fails_the_circle_verdict(tmp_path, monkeypat
     assert (passed["circle_interior_residual"], passed["circle_wrap_error"]) == (False, False)
 
 
-def whole_array_sphere_section(samples, seed):
-    """The sphere section from one (samples, 3) draw and one batched square."""
+def whole_array_sphere_files(samples, seed):
+    """The sphere report and verdict texts from one (samples, 3) draw and one batched square."""
     rng = np.random.Generator(np.random.Philox(key=seed, counter=0))
     u = rng.uniform(-1.0, 1.0, size=(samples, 3))
     scalar, offdiag = sphere_map_square(u)
@@ -135,24 +135,21 @@ def whole_array_sphere_section(samples, seed):
     worst_offdiag = float(offdiag.max())
     worst_scalar_gap = float(np.hypot(gap.real, gap.imag).max())
     n_plus = int(np.count_nonzero(expected > 0))
-    return {
-        "samples": samples,
-        "seed": seed,
-        "plus_one_fraction": n_plus / samples,
-        "minus_one_fraction": (samples - n_plus) / samples,
-        "max_offdiag_residual": worst_offdiag,
-        "max_scalar_gap": worst_scalar_gap,
-    }
+    report = {"sections": {"sphere": {"plus_one_fraction": n_plus / samples}},
+              "all_passed": True}
+    verdict = {"checks": [cli._check("sphere_max_offdiag_residual", worst_offdiag, 1e-12),
+                          cli._check("sphere_max_scalar_gap", worst_scalar_gap, 1e-12)],
+               "all_passed": True}
+    return {"geometry_report.json": cli._json_text("geometry_report.json", report),
+            "verdict.json": cli._json_text("verdict.json", verdict)}
 
 
 def assert_sphere_report_is_the_whole_array(out, samples, seed):
     args = ["geometry", "--report", "sphere", "--sphere-samples", str(samples),
             "--seed", str(seed), "--out", str(out)]
     assert cli.main(args) == cli.EXIT_OK
-    section = whole_array_sphere_section(samples, seed)
-    reference = cli._json_text("geometry_report.json",
-                               {"sections": {"sphere": section}, "all_passed": True})
-    assert (out / "geometry_report.json").read_text(encoding="utf-8") == reference
+    for name, reference in whole_array_sphere_files(samples, seed).items():
+        assert (out / name).read_text(encoding="utf-8") == reference, name
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, cli._SPHERE_CHUNK + 1])
@@ -161,7 +158,7 @@ def test_chunked_sphere_report_matches_the_whole_array(tmp_path, extra):
 
 
 # At seed 7 and 1e5 samples, squaring through libm pow instead of the
-# correctly rounded product moves the last bit of max_scalar_gap.
+# correctly rounded product moves the last bit of sphere_max_scalar_gap.
 def test_sphere_report_squares_the_points_as_products(tmp_path):
     assert_sphere_report_is_the_whole_array(tmp_path / "geo", 100_000, 7)
 

@@ -22,9 +22,9 @@ MANIFEST_GOLDEN = {
                             "5297b2591181c154f7c74454ddd40c1a7c47b91c198a8c48975dfa884f3fe5ef"),
     "geometry-all": (["geometry", "--report", "all", "--circle-n", "64",
                       "--sphere-samples", "2000", "--seed", "3"],
-                     "bcf8c0500fec76756b884bcc90637f17523eb38973847074846c319e42e27ddb"),
+                     "8fa77ef77749a9201d2f1e1cb9e9dceb4183c99bf9dd08347a144fc15e516b19"),
     "kernels": (["kernels"],
-                "5b8c57968c2bc560196d9ce613dbe5fd5b037b1cf2e7982627b77eace1c699d7"),
+                "cf5769f39b17a0b7c04510084d7924202a0601e31c56cd133c6a1416b4541322"),
 }
 
 

@@ -70,14 +70,12 @@ TRIANGLE_25_QUANTUM_GOLDEN = {
 }
 
 GEOMETRY_ALL_GOLDEN = {
-    "geometry_report.json": "64ff51e1e1872eb63044103404b70aa0b6b74c5cfe9ef0cf6307c716d8536913",
+    "geometry_report.json": "437406bc69bf4b830f4082abd1878f9b21413f226e99e49a4dfd9091219e0196",
     "verdict.json": "d36a0dba0e47df3b04ddd3724f6629953439039420fa3af4bc04927823bb3874",
 }
 
 KERNELS_GOLDEN = {
-    "heat_kernel_grid.csv": "1e25ff462f1f59f032e80b5456f8765f8c3278c5f1eca4b8116d2b2cd8f86c38",
-    "schrodinger_kernel_grid.csv":
-        "465491e60acce39e819a2ac0078b0f2589acb0cfd570460bf66bb304c7c60d9d",
+    "kernel_grid.csv": "3279e0be58fe6a29b89c7453248962a7f2a8d2422eb69d35143341b0b8f16ecb",
     "verdict.json": "1a1294b237820f846e5ca9b8caf1c5700a2478938f3d2657b0f4d563ef769189",
 }
 

@@ -40,7 +40,7 @@ def assert_manifest_absent_or_current(out):
 
 
 def nan_wick_residual(monkeypatch):
-    """Fail a kernels run after both CSVs are staged: its NaN verdict cannot be written."""
+    """Fail a kernels run after its grid table is staged: its NaN verdict cannot be written."""
     monkeypatch.setattr(kernels, "wick_identity_residual", lambda *args: float("nan"))
 
 
@@ -51,7 +51,7 @@ def test_failed_kernels_rerun_leaves_the_old_run_as_it_was(tmp_path, monkeypatch
     nan_wick_residual(monkeypatch)
     assert main([*KERNELS_ARGS, "--out", str(out)]) == EXIT_USAGE
     assert_manifest_absent_or_current(out)
-    assert (out / "heat_kernel_grid.csv").read_bytes() == before["heat_kernel_grid.csv"]
+    assert (out / "kernel_grid.csv").read_bytes() == before["kernel_grid.csv"]
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
@@ -204,6 +204,37 @@ def test_a_rerun_keeps_a_stale_file_that_was_edited(tmp_path):
     assert main([*TRIANGLE_ARGS, "--kind", "classical", "--out", str(out)]) == EXIT_OK
     assert edited.read_text(encoding="utf-8") == "mine\n"
     assert not (out / "modulus_residuals.csv").exists()
+
+
+OLD_KERNEL_GRIDS = ["heat_kernel_grid.csv", "schrodinger_kernel_grid.csv"]
+
+
+def old_kernels_run(out):
+    """A run directory in the layout kernels wrote before one table held both kernels."""
+    out.mkdir()
+    artifacts = {}
+    for name in OLD_KERNEL_GRIDS:
+        data = f"x,t,re,im\n-4.0,0.1,{len(name)}.0,0.0\n".encode("utf-8")
+        (out / name).write_bytes(data)
+        artifacts[name] = {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    (out / "manifest.json").write_text(json.dumps({"command": "kernels", "artifacts": artifacts}),
+                                       encoding="utf-8")
+
+
+@pytest.mark.parametrize("edited", [None, *OLD_KERNEL_GRIDS])
+def test_a_kernels_rerun_removes_the_old_grid_files_it_replaces(tmp_path, edited):
+    out = tmp_path / "run"
+    old_kernels_run(out)
+    kept = {}
+    if edited is not None:  # same size, other bytes: only the sha256 tells
+        kept[edited] = (out / edited).read_bytes().replace(b"-4.0", b"-5.0")
+        (out / edited).write_bytes(kept[edited])
+    assert main(["kernels", "--out", str(out)]) == EXIT_OK
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["kernel_grid.csv", "manifest.json", "verdict.json", *kept])
+    for name, data in kept.items():
+        assert (out / name).read_bytes() == data
+    assert_manifest_absent_or_current(out)
 
 
 def test_a_planted_manifest_key_deletes_nothing_outside_out(tmp_path):

@@ -36,7 +36,7 @@ import os
 import shutil
 import sys
 import tempfile
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict
 from itertools import starmap
 from pathlib import Path
@@ -151,13 +151,16 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
         handle.writelines(starmap(_csv_row_format(header), rows))
 
 
-def _write_trial_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    """``_write_csv`` of the rows ``zip(range(trials), *columns)``, formatted on every CPU.
+@contextmanager
+def _write_trial_csv(path: Path, header: list[str], columns: list[np.ndarray]):
+    """``_write_csv`` of the rows ``zip(range(trials), *columns)``, formatted while the
+    ``with`` block runs.
 
-    Each trial range is formatted into its own file by ``ranges.run_in_ranges``,
-    ``_CSV_CHUNK_ROWS`` rows to a write, then copied after the header in range
-    order.  A row's text does not depend on its range or its chunk, so the
-    file is the same for any number of ranges.
+    One worker per trial range, forked by ``ranges.run_in_ranges``, formats
+    its rows into its own file, ``_CSV_CHUNK_ROWS`` rows to a write; when the
+    block ends, ``path`` gets the header and then each file in range order.
+    A row's text does not depend on its range or its chunk, so the file is
+    the same for any number of ranges.  A block that raises writes nothing.
     """
     row = _csv_row_format(header)
 
@@ -167,11 +170,12 @@ def _write_trial_csv(path: Path, header: list[str], columns: list[np.ndarray]) -
             chunk = (column[start:stop].tolist() for column in columns)
             out.write("".join(starmap(row, zip(range(start, stop), *chunk))).encode("utf-8"))
 
-    parts = ranges.run_in_ranges(ranges.range_bounds(len(columns[0])), write_range)
-    with path.open("wb") as handle:
-        handle.write((",".join(header) + "\n").encode("utf-8"))
-        for part in parts:
-            with part:
+    with ranges.run_in_ranges(ranges.range_bounds(len(columns[0])), write_range) as join:
+        yield
+        parts = join()
+        with path.open("wb") as handle:
+            handle.write((",".join(header) + "\n").encode("utf-8"))
+            for part in parts:
                 shutil.copyfileobj(part, handle)
 
 
@@ -336,7 +340,12 @@ def _overlay_svg(series: list[tuple[str, str, np.ndarray, np.ndarray]], title: s
 # ---------------------------------------------------------------------------
 
 def cmd_fig3(args: argparse.Namespace) -> int:
-    """Brownian endpoints vs Wick-rotated square-root channels, with KS verdicts."""
+    """Brownian endpoints vs Wick-rotated square-root channels, with KS verdicts.
+
+    Once the streamed pass returns, the run directory is staged and the
+    workers of ``endpoints.csv`` are forked; the KS and moment checks, the
+    histograms and the overlay are computed while they format their rows.
+    """
     import numpy as np
 
     from . import stats, stochastic
@@ -346,41 +355,41 @@ def cmd_fig3(args: argparse.Namespace) -> int:
     brownian_scaled = summary.brownian_scaled
     real_ch, imag_ch = summary.real_channel, summary.imag_channel
     max_step, max_path = summary.max_step_residual, summary.max_path_residual
-
-    checks = []
-    reports = {}
     named = [("brownian_endpoints", brownian_scaled),
              ("sqrt_real_channel", real_ch),
              ("sqrt_imag_channel", imag_ch)]
-    for name, samples in named:
-        ks = stats.ks_one_sample(samples, stats.std_normal_cdf)
-        # the benchmark gate reads the ks_* names and their passed
-        checks.append(_check(f"ks_{name}_vs_normal", ks.statistic, ks.threshold_at(args.alpha),
-                             alpha=args.alpha))
-        reports[name] = asdict(stats.stats_report(samples))
-    two = stats.ks_two_sample(real_ch, imag_ch)
-    checks.append(_check("ks_two_sample_channels", two.statistic, two.threshold_at(args.alpha),
-                         alpha=args.alpha))
-    # The step residual is relative, so one bound holds at every horizon.
-    checks.append(_check("square_identity_max_step", max_step, 1e-12))
 
-    curve_x = np.linspace(*_STANDARD_RANGE, 181)
-    curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
-    series = [("standard normal", "black", curve_x, curve_y)]
     with _RunDir(args.output_dir) as run:
-        _write_trial_csv(run.path("endpoints.csv"),
-                         ["trial", "brownian_scaled", "real_channel", "imag_channel"],
-                         [brownian_scaled, real_ch, imag_ch])
-        for (name, samples), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
-            hist = stats.histogram_build(samples, args.n_bins, _STANDARD_RANGE)
-            edges = hist.edges.tolist()
-            densities = hist.densities()
-            _write_csv(run.path(f"hist_{name}.csv"), ["bin_lo", "bin_hi", "count", "density"],
-                       zip(edges[:-1], edges[1:], hist.counts.tolist(), densities.tolist()))
-            centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
-            series.append((name.replace("_", " "), color, centers, densities))
-        run.write_text("fig3_overlay.svg",
-                       _overlay_svg(series, "Brownian kernel vs rotated square-root channels"))
+        with _write_trial_csv(run.path("endpoints.csv"),
+                              ["trial", "brownian_scaled", "real_channel", "imag_channel"],
+                              [brownian_scaled, real_ch, imag_ch]):
+            checks = []
+            reports = {}
+            for name, samples in named:
+                ks = stats.ks_one_sample(samples, stats.std_normal_cdf)
+                # the benchmark gate reads the ks_* names and their passed
+                checks.append(_check(f"ks_{name}_vs_normal", ks.statistic,
+                                     ks.threshold_at(args.alpha), alpha=args.alpha))
+                reports[name] = asdict(stats.stats_report(samples))
+            two = stats.ks_two_sample(real_ch, imag_ch)
+            checks.append(_check("ks_two_sample_channels", two.statistic,
+                                 two.threshold_at(args.alpha), alpha=args.alpha))
+            # The step residual is relative, so one bound holds at every horizon.
+            checks.append(_check("square_identity_max_step", max_step, 1e-12))
+
+            curve_x = np.linspace(*_STANDARD_RANGE, 181)
+            curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
+            series = [("standard normal", "black", curve_x, curve_y)]
+            for (name, samples), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
+                hist = stats.histogram_build(samples, args.n_bins, _STANDARD_RANGE)
+                edges = hist.edges.tolist()
+                densities = hist.densities()
+                _write_csv(run.path(f"hist_{name}.csv"), ["bin_lo", "bin_hi", "count", "density"],
+                           zip(edges[:-1], edges[1:], hist.counts.tolist(), densities.tolist()))
+                centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
+                series.append((name.replace("_", " "), color, centers, densities))
+            run.write_text("fig3_overlay.svg",
+                           _overlay_svg(series, "Brownian kernel vs rotated square-root channels"))
         return run.finish(
             "fig3", _flags(args), checks,
             # the benchmark gate reads square_identity

@@ -4,6 +4,7 @@ from __future__ import annotations
 import os
 import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
 
 
 def cpu_count() -> int:
@@ -25,36 +26,63 @@ def range_bounds(n: int) -> list[int]:
     return [n * r // ranges for r in range(ranges + 1)]
 
 
-def run_in_ranges(bounds: list[int], job) -> list:
-    """Run ``job(lo, hi, out)`` for every range of ``bounds``; return the ``out`` files.
+@contextmanager
+def run_in_ranges(bounds: list[int], job):
+    """Fork one worker running ``job(lo, hi, out)`` per range of ``bounds``; yield ``join``.
 
-    ``out`` is one of the anonymous binary temporary files opened before the
-    fork, one per range: the only way a job's results reach the caller.  The
-    caller runs range 0 itself after forking one worker per other range.  A
-    worker never returns into the caller's code: it flushes ``out`` and
+    ``with run_in_ranges(bounds, job) as join:`` hands control back to the
+    caller while the workers run, so the caller can do its own work (a
+    range of its own, say) in the block.  ``join()`` waits for every worker
+    and returns the ``out`` files, rewound, in range order.  ``out`` is one
+    of the anonymous binary temporary files opened before the fork, one per
+    range: the only way a job's results reach the caller.  Where ``os.fork``
+    is missing, each range runs in the caller before the block starts.
+
+    A worker never returns into the caller's code: it flushes ``out`` and
     leaves through ``os._exit``, which flushes no buffer, with status 0 only
     when its job returned; a job that raised prints its traceback to stderr
-    first.  Every worker is reaped however range 0 ends; one that failed or
-    was killed makes this raise ``ChildProcessError`` (an ``OSError``).  On
-    any exception every file is closed; otherwise they come back rewound, in
-    range order, for the caller to read and close.
+    first.  Every worker is reaped and every file closed when the block
+    ends, however it ends.  A worker that failed or was killed makes
+    ``join``, or the end of a block that never called it, raise
+    ``ChildProcessError`` (an ``OSError``); an exception from the block
+    itself wins over it.
 
     Forking is safe here although numpy may have started BLAS threads: the
     jobs run only ufuncs, reductions, a Philox generator they create
     themselves, float formatting and file writes, none of which needs a lock
     that another thread could hold.
     """
-    files, workers = [], []
-    try:
+    workers, failed = [], []
+
+    def reap() -> None:
+        while workers:
+            status = os.waitpid(workers[0], 0)[1]
+            del workers[0]
+            if status != 0:
+                failed.append(os.waitstatus_to_exitcode(status))
+
+    def join() -> list:
+        reap()
+        if failed:
+            raise ChildProcessError(f"{len(failed)} worker(s) failed, exit codes "
+                                    f"{failed} (negative: killed by that signal)")
+        for file in files:
+            file.seek(0)
+        return files
+
+    with ExitStack() as stack:
+        files = [stack.enter_context(tempfile.TemporaryFile()) for _ in bounds[1:]]
         try:
-            files.extend(tempfile.TemporaryFile() for _ in bounds[1:])
-            for r in range(1, len(files)):
+            for r, out in enumerate(files):
+                if not hasattr(os, "fork"):
+                    job(bounds[r], bounds[r + 1], out)
+                    continue
                 pid = os.fork()
                 if pid == 0:
                     status = 1
                     try:
-                        job(bounds[r], bounds[r + 1], files[r])
-                        files[r].flush()
+                        job(bounds[r], bounds[r + 1], out)
+                        out.flush()
                         status = 0
                     except Exception:
                         import traceback  # only a failing worker needs it
@@ -64,17 +92,7 @@ def run_in_ranges(bounds: list[int], job) -> list:
                     finally:
                         os._exit(status)
                 workers.append(pid)
-            job(bounds[0], bounds[1], files[0])
+            yield join
         finally:
-            statuses = [os.waitpid(pid, 0)[1] for pid in workers]
-        failed = [os.waitstatus_to_exitcode(status) for status in statuses if status != 0]
-        if failed:
-            raise ChildProcessError(f"{len(failed)} worker(s) failed, exit codes {failed} "
-                                    "(negative: killed by that signal)")
-    except BaseException:
-        for file in files:
-            file.close()
-        raise
-    for file in files:
-        file.seek(0)
-    return files
+            reap()
+        join()

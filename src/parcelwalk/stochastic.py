@@ -20,11 +20,13 @@ and the results are bit-identical to building it as one array with
 ``sqrt_endpoint_statistics`` and ``square_identity_residuals``, which run the
 same kernel over slices of it and read trials and steps from its shape.
 
-The pass runs on every CPU the process may use: ``ranges.run_in_ranges``
-reduces one contiguous range of trials per CPU, each returning its rows and
-maxima through a file.  A row's results do not depend on where the blocks
-split, so they are the same bit for bit for any number of ranges, which is
-recorded nowhere; the CLI formats ``endpoints.csv`` over the same ranges.
+The pass runs on every CPU the process may use: the process reduces the
+first contiguous range of trials itself inside ``ranges.run_in_ranges``,
+which forks one worker per other range, each returning its rows and maxima
+through a file.  A row's results do not depend on where the blocks split,
+so they are the same bit for bit for any number of ranges, which is
+recorded nowhere; the CLI formats ``endpoints.csv`` over the same ranges
+while it computes the statistics.
 The materialised array and its reductions stay serial: they are the
 reference the streamed pass is tested against.
 
@@ -287,21 +289,26 @@ def _streamed_blocks(seed: int, steps: int, horizon_T: float, first: int, stop: 
 def _stream_in_ranges(seed: int, trials: int, steps: int, horizon_T: float):
     """``(w_T, endpoints, max_step, max_path)`` of the streamed ensemble, one range per CPU.
 
-    Each range reduces into arrays allocated before the fork, then writes its
-    slices and its two maxima to its file as raw bytes, read back into place.
+    Every range reduces into arrays allocated before the fork.  The process
+    reduces the first range itself while one worker per other range runs;
+    a worker writes its slices and its two maxima to its file as raw bytes,
+    read back into place.
     """
     w_T = np.empty(trials)
     endpoints = np.empty(trials, dtype=np.complex128)
 
-    def reduce_range(lo: int, hi: int, out) -> None:
-        maxima = _reduce_blocks(_streamed_blocks(seed, steps, horizon_T, lo, hi), w_T, endpoints)
+    def reduce_range(lo: int, hi: int) -> tuple[float, float]:
+        return _reduce_blocks(_streamed_blocks(seed, steps, horizon_T, lo, hi), w_T, endpoints)
+
+    def reduce_into(lo: int, hi: int, out) -> None:
+        maxima = reduce_range(lo, hi)
         for array in (w_T[lo:hi], endpoints[lo:hi], np.array(maxima)):
             out.write(array)
 
     bounds = range_bounds(trials)
-    maxima = []
-    for lo, hi, part in zip(bounds, bounds[1:], run_in_ranges(bounds, reduce_range)):
-        with part:
+    with run_in_ranges(bounds[1:], reduce_into) as join:
+        maxima = [reduce_range(bounds[0], bounds[1])]
+        for lo, hi, part in zip(bounds[1:], bounds[2:], join()):
             part.readinto(w_T[lo:hi])
             part.readinto(endpoints[lo:hi])
             maxima.append(np.frombuffer(part.read()))

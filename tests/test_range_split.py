@@ -3,8 +3,8 @@
 ``ranges.cpu_count`` is patched to force 1, 2 and 4 ranges.  Each range's
 file comes back in range order; results and files must be the same bit for
 bit for every range count, a worker's NaN and a worker's failure must reach
-the parent, and no call may leave a child process unreaped, a file open or
-a temporary file behind.
+the parent, and no call may leave a file open or a temporary file behind
+(``conftest.no_child_left`` fails a test that leaves a child unreaped).
 """
 import hashlib
 import json
@@ -24,13 +24,6 @@ from parcelwalk import cli, ranges, stochastic
 from parcelwalk.cli import EXIT_IO, EXIT_OK, EXIT_STAT, main
 
 FIG3_ARGS = ["fig3", "--seed", "7", "--trials", "300", "--steps", "16"]
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def force_ranges(monkeypatch, n):
@@ -141,20 +134,47 @@ def write_range(lo, hi, out):
     out.write(f"{os.getpid()} {lo} {hi}\n".encode())
 
 
+def read_ranges(bounds, job=write_range):
+    """``(pid, lo, hi)`` of every range's file, in the order ``join`` returns them."""
+    with ranges.run_in_ranges(bounds, job) as join:
+        parts = join()
+        results = [tuple(int(word) for word in part.read().split()) for part in parts]
+    assert all(part.closed for part in parts)
+    return results
+
+
 @pytest.mark.parametrize("items, cpus", [(10, 1), (10, 2), (10, 4), (3, 4)])
 def test_run_in_ranges_returns_each_ranges_file_in_range_order(monkeypatch, items, cpus):
     force_ranges(monkeypatch, cpus)
     bounds = ranges.range_bounds(items)
     assert len(bounds) == min(items, cpus) + 1
-    results = []
-    for part in ranges.run_in_ranges(bounds, write_range):
-        with part:
-            results.append([int(word) for word in part.read().split()])
+    results = read_ranges(bounds)
     assert [(lo, hi) for _, lo, hi in results] == list(zip(bounds, bounds[1:]))
     assert bounds[0] == 0 and bounds[-1] == items
     pids = [pid for pid, _, _ in results]
-    assert pids[0] == os.getpid()
+    assert os.getpid() not in pids
     assert len(set(pids)) == len(pids)
+
+
+def test_no_range_forks_nothing():
+    with ranges.run_in_ranges([5], write_range) as join:
+        assert join() == []
+
+
+def test_without_fork_every_range_runs_in_the_caller_before_the_block(monkeypatch):
+    force_ranges(monkeypatch, 3)
+    monkeypatch.delattr(os, "fork")
+    bounds = ranges.range_bounds(9)
+    done = []
+
+    def job(lo, hi, out):
+        done.append(lo)
+        write_range(lo, hi, out)
+
+    with ranges.run_in_ranges(bounds, job) as join:
+        assert done == bounds[:-1]
+        results = [tuple(int(word) for word in part.read().split()) for part in join()]
+    assert results == [(os.getpid(), lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def open_fds():
@@ -179,8 +199,23 @@ def test_failed_worker_raises_leaving_no_file_open_or_behind(tmp_path, monkeypat
     # The traceback keeps the helper's frame, and so its files, alive: a
     # file the helper did not close is still open below.
     with pytest.raises(ChildProcessError) as failure:
-        ranges.run_in_ranges(bounds, job)
+        read_ranges(bounds, job)
     assert str(failure.value).startswith(f"1 worker(s) failed, exit codes [{code}]")
+    assert open_fds() == fds
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_block_that_never_joins_still_raises_for_a_failed_worker(tmp_path, monkeypatch):
+    force_ranges(monkeypatch, 2)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+
+    def job(lo, hi, out):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    fds = open_fds()
+    with pytest.raises(ChildProcessError, match=r"2 worker\(s\) failed"):
+        with ranges.run_in_ranges(ranges.range_bounds(4), job):
+            pass
     assert open_fds() == fds
     assert list(tmp_path.iterdir()) == []
 
@@ -188,17 +223,15 @@ def test_failed_worker_raises_leaving_no_file_open_or_behind(tmp_path, monkeypat
 def test_failure_in_the_caller_raises_it_after_reaping_every_worker(tmp_path, monkeypatch):
     force_ranges(monkeypatch, 4)
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    caller = os.getpid()
 
     def job(lo, hi, out):
-        if os.getpid() == caller:
-            raise KeyError("planted failure in the caller")
-        time.sleep(0.2)  # still running when the caller's range fails
+        time.sleep(0.2)  # still running when the caller's block fails
         write_range(lo, hi, out)
 
     fds = open_fds()
     with pytest.raises(KeyError) as failure:  # kept alive, as above
-        ranges.run_in_ranges(ranges.range_bounds(8), job)
+        with ranges.run_in_ranges(ranges.range_bounds(8), job):
+            raise KeyError("planted failure in the caller")
     assert failure.value.args == ("planted failure in the caller",)
     # no_child_left checks that every worker was reaped
     assert open_fds() == fds
@@ -209,6 +242,11 @@ FIG3_FILES = ["endpoints.csv", "fig3_overlay.svg", "hist_brownian_endpoints.csv"
               "hist_sqrt_imag_channel.csv", "hist_sqrt_real_channel.csv", "manifest.json",
               "verdict.json"]
 ENDPOINTS_HEADER = ["trial", "brownian_scaled", "real_channel", "imag_channel"]
+
+
+def write_trial_csv(path, header, columns):
+    with cli._write_trial_csv(path, header, columns):
+        pass
 
 
 @pytest.mark.parametrize("trials, steps", [(100, 1), (1001, 129)])
@@ -234,7 +272,7 @@ def test_trial_csv_with_fewer_trials_than_ranges_matches_the_serial_writer(tmp_p
     for n in (1, 2, 4):
         force_ranges(monkeypatch, n)
         split = tmp_path / f"ranges{n}.csv"
-        cli._write_trial_csv(split, ENDPOINTS_HEADER, columns)
+        write_trial_csv(split, ENDPOINTS_HEADER, columns)
         assert split.read_bytes() == serial.read_bytes()
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "ranges1.csv", "ranges2.csv", "ranges4.csv", "serial.csv"]
@@ -255,7 +293,7 @@ def test_trial_csv_in_chunks_matches_the_whole_array_writer(tmp_path, monkeypatc
     for n in (1, 3):
         force_ranges(monkeypatch, n)
         chunked = tmp_path / f"ranges{n}.csv"
-        cli._write_trial_csv(chunked, ENDPOINTS_HEADER, columns)
+        write_trial_csv(chunked, ENDPOINTS_HEADER, columns)
         assert chunked.read_bytes() == whole.read_bytes()
 
 

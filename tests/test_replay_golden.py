@@ -33,7 +33,7 @@ FIG3_GOLDEN = {
     "hist_sqrt_imag_channel.csv":
         "08e60a89de581137a8267f171b026b7f648ee4aac21e3847ff7ebe7e5fb13c18",
     "fig3_overlay.svg": "777f3d6988e80a105d663a66d4f76ab53c6635cee14d7f74b588c534d344e012",
-    "verdict.json": "5981700ec12d1831c0b621b98bdb719a9ccd1a4f7468b18e42c1d1b0ab800ee4",
+    "verdict.json": "9b97e03a336f57cda7ef2b2e2e9ee2218298dc4a31d2c6aa3e905d53751218f4",
 }
 
 # fig3 --seed 7 --trials 9001 --steps 16: more trials than several chunks of
@@ -48,7 +48,7 @@ FIG3_9001_GOLDEN = {
     "hist_sqrt_imag_channel.csv":
         "abba6219083f5f44817c81bd911ab01c2444be3a4af79ac5f5f337a29c2550c5",
     "fig3_overlay.svg": "e185aa109cff04129fc6d23fedc3b9ccdde7e678bab734237721c868547a0931",
-    "verdict.json": "d19159b9cb980b01d5de4b17805b54124ca0cc9c25de20dc5579376d5d180f04",
+    "verdict.json": "14a59400b4d385559e937dd1cf22b5611fa07058dfad21f287c46c88e82c64bc",
 }
 
 # sha256 of every file a triangle, geometry or kernels run writes, keyed by

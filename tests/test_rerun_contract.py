@@ -6,26 +6,24 @@ failed rerun keeps the old run byte for byte, manifest included; a failed
 first run makes no ``--out``; a file of the user's in ``--out`` survives
 every run; and no run, finished or failed, leaves a staging directory
 behind.  A forked ``fig3`` worker that fails prints its traceback to stderr.
+A ``fig3`` statistics step that fails while the ``endpoints.csv`` workers
+run leaves no child, open file or temporary file either.
 """
 import hashlib
 import json
 import os
+import signal
+import tempfile
+import time
 
 import pytest
 
-from parcelwalk import cli, kernels, ranges, triangle
+from parcelwalk import cli, kernels, ranges, stats, triangle
 from parcelwalk.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 
 FIG3_ARGS = ["fig3", "--seed", "7", "--trials", "300", "--steps", "16"]
 TRIANGLE_ARGS = ["triangle", "--n-max", "9"]
 KERNELS_ARGS = ["kernels", "--hbar", "2", "--mass", "3"]
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def assert_manifest_absent_or_current(out):
@@ -62,22 +60,34 @@ def test_refused_kernels_run_creates_no_output_directory(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def fail_in_formatting_worker(monkeypatch):
+def in_formatting_workers(monkeypatch, plant):
+    """Run ``plant()`` before each row a forked ``endpoints.csv`` worker formats."""
     monkeypatch.setattr(ranges, "cpu_count", lambda: 2)
     parent = os.getpid()
     row_format = cli._csv_row_format
 
-    def failing_format(header):
+    def planted_format(header):
         row = row_format(header)
 
         def format_in(*values):
             if os.getpid() != parent:
-                raise RuntimeError("planted failure in a formatting worker")
+                plant()
             return row(*values)
 
         return format_in
 
-    monkeypatch.setattr(cli, "_csv_row_format", failing_format)
+    monkeypatch.setattr(cli, "_csv_row_format", planted_format)
+
+
+def fail_in_formatting_worker(monkeypatch):
+    def fail():
+        raise RuntimeError("planted failure in a formatting worker")
+
+    in_formatting_workers(monkeypatch, fail)
+
+
+def kill_a_formatting_worker(monkeypatch):
+    in_formatting_workers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
 
 
 def test_fig3_rerun_with_a_failed_worker_leaves_no_stale_manifest(tmp_path, monkeypatch):
@@ -94,7 +104,7 @@ def test_failed_worker_traceback_reaches_stderr(tmp_path, monkeypatch, capfd):
     assert main([*FIG3_ARGS, "--out", str(tmp_path / "run")]) == EXIT_IO
     err = capfd.readouterr().err
     assert "RuntimeError: planted failure in a formatting worker" in err
-    assert "1 worker(s) failed" in err
+    assert "2 worker(s) failed, exit codes [1, 1]" in err
 
 
 def fail_at_row_7(monkeypatch):
@@ -123,12 +133,13 @@ def fail_at_the_manifest(monkeypatch):
 GEOMETRY_ARGS = ["geometry", "--circle-n", "8", "--sphere-samples", "10"]
 FAILED_RUNS = pytest.mark.parametrize("args, plant", [
     (FIG3_ARGS, fail_in_formatting_worker),
+    (FIG3_ARGS, kill_a_formatting_worker),
     (TRIANGLE_ARGS, fail_at_row_7),
     (FIG3_ARGS, fail_at_the_manifest),
     (TRIANGLE_ARGS, fail_at_the_manifest),
     (GEOMETRY_ARGS, fail_at_the_manifest),
     (["kernels"], fail_at_the_manifest),
-], ids=["fig3-worker", "triangle-row-7", "fig3-manifest", "triangle-manifest",
+], ids=["fig3-worker", "fig3-killed-worker", "triangle-row-7", "fig3-manifest", "triangle-manifest",
         "geometry-manifest", "kernels-manifest"])
 
 
@@ -155,6 +166,45 @@ def test_failed_first_run_makes_no_output_directory(tmp_path, monkeypatch, args,
     plant(monkeypatch)
     assert main([*args, "--out", str(out)]) == EXIT_IO
     assert not out.exists()
+
+
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def test_a_statistics_failure_while_the_csv_workers_run_leaves_no_trace(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main([*FIG3_ARGS, "--out", str(out)]) == EXIT_OK
+    before = snapshot(out)
+    temp = tmp_path / "tmp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    waited = []
+
+    def wait_before_the_first_row():
+        # so both workers are still formatting when the statistics fail
+        if not waited:
+            waited.append(True)
+            time.sleep(0.2)
+
+    in_formatting_workers(monkeypatch, wait_before_the_first_row)
+    running = []
+
+    def failing_two_sample(a, b):
+        # WNOWAIT leaves every worker for the helper to reap; None: none has exited.
+        running.append(os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None)
+        raise ValueError("planted failure in the statistics")
+
+    monkeypatch.setattr(stats, "ks_two_sample", failing_two_sample)
+    fds = open_fds()
+    assert main([*FIG3_ARGS, "--out", str(out)]) == EXIT_USAGE
+    assert main([*FIG3_ARGS, "--out", str(tmp_path / "first")]) == EXIT_USAGE
+    assert running == [True, True]
+    # no_child_left checks that every worker was reaped
+    assert open_fds() == fds
+    assert list(temp.iterdir()) == []
+    assert snapshot(out) == before
+    assert not (tmp_path / "first").exists()
 
 
 def test_a_users_file_in_out_survives_finished_and_failed_runs(tmp_path, monkeypatch):

@@ -56,6 +56,34 @@ def test_histogram_uniform_counts_within_binomial_bound():
     assert np.abs(h.counts - 1000).max() <= 120
 
 
+def old_histogram_counts(x, edges):
+    """The counts and out-of-range count of the searchsorted-into-edges and bincount formula."""
+    n_bins = len(edges) - 1
+    idx = np.searchsorted(edges, x, side="right") - 1
+    in_range = (idx >= 0) & (idx < n_bins)
+    return np.bincount(idx[in_range], minlength=n_bins), int(x.size - in_range.sum())
+
+
+def test_histogram_counts_match_the_bincount_formula_on_edges_and_outliers():
+    rng = np.random.default_rng(23)
+    for case in range(300):
+        n_bins = int(rng.integers(1, 40))
+        lo = float(rng.uniform(-3.0, 0.0)) if case % 3 else 0.0
+        hi = lo + float(rng.uniform(0.1, 5.0))
+        edges = lo + (hi - lo) * np.arange(n_bins + 1) / n_bins
+        # every edge (the top one included), both zeros, out-of-range and
+        # non-finite values, and draws inside and around the range
+        special = np.concatenate([edges, [0.0, -0.0, lo - 1.0, hi + 1.0, np.inf, -np.inf,
+                                          np.nan, np.nextafter(hi, -np.inf)]])
+        x = np.concatenate([rng.choice(special, size=int(rng.integers(0, 30))),
+                            rng.uniform(lo - 1.0, hi + 1.0, size=int(rng.integers(1, 200)))])
+        h = histogram_build(x, n_bins, (lo, hi))
+        counts, out_of_range = old_histogram_counts(x, h.edges)
+        assert np.array_equal(h.edges, edges)
+        assert h.counts.tolist() == counts.tolist()
+        assert h.n_out_of_range == out_of_range
+
+
 def test_histogram_guards():
     with pytest.raises(ValueError):
         histogram_build([], 4, (0.0, 1.0))

@@ -118,6 +118,14 @@ def test_row_sup_error_kinds_agree():
         row_sup_error(20, "fancy")
 
 
+@pytest.mark.parametrize("kind", ["classical", "quantum"])
+def test_row_sup_error_of_row_1_is_its_closed_form(kind):
+    # Row 1 is (1/2, 1/2); its Gaussian row has 2*exp(-1/2)/sqrt(2*pi) at both entries.
+    closed = 0.5 - 2.0 * math.exp(-0.5) / math.sqrt(2.0 * math.pi)
+    assert closed == pytest.approx(0.016058550961713, abs=1e-15)
+    assert row_sup_error(1, kind) == pytest.approx(closed, abs=1e-15)
+
+
 def test_row_sup_error_frozen_values():
     assert row_sup_error(100, "classical") == pytest.approx(SUP_ERROR_N100, abs=1e-12)
     assert row_sup_error(25, "classical") == pytest.approx(SUP_ERROR_N25, abs=1e-8)

@@ -32,11 +32,8 @@ reference the streamed pass is tested against.
 
 The kernel works in real arithmetic: each root increment lies on one axis,
 so its square is the real square of its parcel value times the square of
-|dW|**(1/2).  It writes
-into work buffers allocated once per pass, sized to the first (largest)
-block, so a block costs no fresh allocations.  Only the path sum of the
-squares runs through a complex buffer, to keep the summation order, and so
-the bits, of squaring through the complex parcel values.
+|dW|**(1/2).  It writes into work buffers allocated once per pass, sized to
+the first (largest) block, so a block costs no fresh allocations.
 """
 from __future__ import annotations
 
@@ -170,9 +167,9 @@ def sqrt_path(increments) -> np.ndarray:
 
 
 def _work_buffers(rows: int, steps: int):
-    """Work buffers of ``_reduce_block``: root, plus, minus, sign mask, complex squares."""
+    """Work buffers of ``_reduce_block``: root, plus, minus and sign mask."""
     return (np.empty((rows, steps)), np.empty((rows, steps)), np.empty((rows, steps)),
-            np.empty((rows, steps), dtype=bool), np.zeros((rows, steps), dtype=np.complex128))
+            np.empty((rows, steps), dtype=bool))
 
 
 def _real_squares(parcel) -> tuple[float, float]:
@@ -194,11 +191,8 @@ def _reduce_block(block: np.ndarray, parcel=_PARCEL, work=None):
     The arithmetic is real: a root increment is nonzero on one axis only, so
     its square is ``sq+ * plus**2 + sq- * minus**2`` with ``sq+, sq-`` the
     squares of the two parcel values, bit for bit the real part of the
-    complex square, whose imaginary part is 0.  The path sum still adds
-    these squares as complex numbers with zero imaginary parts: numpy's
-    pairwise summation groups complex elements differently from real ones,
-    and a real sum moves the last bits of the path residual.  A NaN
-    increment has no sign and lands on both axes, as in ``sqrt_path``.
+    complex square, whose imaginary part is 0.  A NaN increment has no sign
+    and lands on both axes, as in ``sqrt_path``.
 
     Every step writes into ``work`` (``_work_buffers`` with at least
     ``len(block)`` rows; allocated here when not given), so a call makes no
@@ -206,8 +200,8 @@ def _reduce_block(block: np.ndarray, parcel=_PARCEL, work=None):
     """
     sq_plus, sq_minus = _real_squares(parcel)
     rows = len(block)
-    root, plus, minus, mask, squared = (buffer[:rows] for buffer in
-                                        work or _work_buffers(*block.shape))
+    root, plus, minus, mask = (buffer[:rows] for buffer in
+                               work or _work_buffers(*block.shape))
     np.abs(block, out=root)
     np.sqrt(root, out=root)
     # root * mask is root or +0.0, and root - plus the other half of root.
@@ -219,10 +213,9 @@ def _reduce_block(block: np.ndarray, parcel=_PARCEL, work=None):
     for channel, square in ((plus, sq_plus), (minus, sq_minus)):
         np.multiply(channel, channel, out=channel)
         channel *= square
-    real = squared.real  # the imaginary slots are never written and stay 0
-    np.add(plus, minus, out=real)
-    path = np.abs(squared.sum(axis=1).real - w_T).max()
-    np.subtract(real, block, out=plus)
+    np.add(plus, minus, out=plus)
+    path = np.abs(plus.sum(axis=1) - w_T).max()
+    np.subtract(plus, block, out=plus)
     np.abs(plus, out=plus)
     np.abs(block, out=minus)
     np.maximum(minus, 1.0, out=minus)

@@ -58,7 +58,7 @@ def test_block_kernel_matches_sqrt_path_row_by_row(block):
         assert same(endpoints[i].real, root_increments.real.sum())
         assert same(endpoints[i].imag, root_increments.imag.sum())
         row_steps.append((np.abs(squared - row) / np.maximum(1.0, np.abs(row))).max())
-        row_paths.append(abs(squared.sum() - row.sum()))
+        row_paths.append(abs(squared.real.sum() - row.sum()))
     assert same(step, np.max(row_steps))
     assert same(path, np.max(row_paths))
 

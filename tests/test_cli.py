@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from parcelwalk import geometry, kernels, stochastic, triangle
+from parcelwalk import cli, geometry, kernels, stochastic, triangle
 from parcelwalk.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -36,8 +36,7 @@ def run_fig3(tmp_path, extra=()):
 def test_fig3_writes_artifacts_and_passes(tmp_path):
     code, out = run_fig3(tmp_path)
     assert code == EXIT_OK
-    for name in ("endpoints.csv", "hist_brownian_endpoints.csv",
-                 "hist_sqrt_real_channel.csv", "hist_sqrt_imag_channel.csv",
+    for name in ("endpoints.csv", "histograms.csv",
                  "fig3_overlay.svg", "verdict.json", "manifest.json"):
         assert (out / name).exists(), name
     verdict = json.loads((out / "verdict.json").read_text())
@@ -46,10 +45,26 @@ def test_fig3_writes_artifacts_and_passes(tmp_path):
     assert verdict["square_identity"]["max_step_residual"] <= 1e-15
 
 
+def test_fig3_histograms_count_the_endpoints_csv_columns(tmp_path):
+    from parcelwalk.stats import histogram_build
+
+    _, out = run_fig3(tmp_path)
+    header, rows = read_table(out / "histograms.csv")
+    assert header == "bin_lo,bin_hi,brownian_endpoints,sqrt_real_channel,sqrt_imag_channel"
+    _, trials = read_table(out / "endpoints.csv")
+    n_bins = int(FAST_FIG3[FAST_FIG3.index("--bins") + 1])
+    for column in range(3):
+        samples = [float(trial[1 + column]) for trial in trials]
+        hist = histogram_build(samples, n_bins, (-4.5, 4.5))
+        assert [float(row[0]) for row in rows] == hist.edges[:-1].tolist()
+        assert [float(row[1]) for row in rows] == hist.edges[1:].tolist()
+        assert [int(row[2 + column]) for row in rows] == hist.counts.tolist()
+
+
 def test_fig3_runs_are_byte_identical(tmp_path):
     _, out_a = run_fig3(tmp_path / "a")
     _, out_b = run_fig3(tmp_path / "b")
-    for name in ("endpoints.csv", "hist_brownian_endpoints.csv", "verdict.json"):
+    for name in ("endpoints.csv", "histograms.csv", "verdict.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
 
 
@@ -132,6 +147,19 @@ def test_fig3_reports_a_size_too_large_for_memory_as_usage_error(tmp_path, capsy
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_fig3_bins_over_the_cap_are_refused_before_any_row_is_drawn(tmp_path, capsys,
+                                                                    monkeypatch):
+    def drawn(*args):
+        raise AssertionError("rows were drawn")
+
+    monkeypatch.setattr(stochastic, "stream_endpoint_statistics", drawn)
+    out = tmp_path / "x"
+    args = ["fig3", "--trials", "100", "--steps", "1", "--bins", str(cli.MAX_BINS + 1)]
+    assert main([*args, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("error: n_bins must")
+    assert not out.exists()
+
+
 def test_fig3_failing_before_its_first_file_creates_no_output_directory(tmp_path):
     out = tmp_path / "x"
     args = ["fig3", "--trials", "100", "--steps", "1", "--bins", "100000000000"]
@@ -186,7 +214,7 @@ def test_rerun_from_manifest_reproduces_artifacts(tmp_path):
     out_b = tmp_path / "b" / "run"
     code = main(["fig3", "--config", str(out_a / "manifest.json"), "--out", str(out_b)])
     assert code == EXIT_OK
-    for name in ("endpoints.csv", "hist_brownian_endpoints.csv", "verdict.json"):
+    for name in ("endpoints.csv", "histograms.csv", "verdict.json"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     manifest_a = json.loads((out_a / "manifest.json").read_text())
     manifest_b = json.loads((out_b / "manifest.json").read_text())

@@ -15,7 +15,7 @@ from parcelwalk.cli import EXIT_OK, main
 
 MANIFEST_GOLDEN = {
     "fig3": (["fig3", "--seed", "7", "--trials", "300", "--steps", "16"],
-             "86b37208e4e5debb32a172a9385b2ca81b4e7bc1008cbf5023b55e687aeb320c"),
+             "fd90d882ff80f3d924dcdde1497c68fa47c1e240be3741de3a0477f5a9441628"),
     "triangle-40-both": (["triangle", "--n-max", "40", "--kind", "both"],
                          "f682778a996cee0422321f233e35420158938519d078b06b77f6f551fc9b1e04"),
     "triangle-25-quantum": (["triangle", "--n-max", "25", "--kind", "quantum"],

@@ -238,8 +238,7 @@ def test_failure_in_the_caller_raises_it_after_reaping_every_worker(tmp_path, mo
     assert list(tmp_path.iterdir()) == []
 
 
-FIG3_FILES = ["endpoints.csv", "fig3_overlay.svg", "hist_brownian_endpoints.csv",
-              "hist_sqrt_imag_channel.csv", "hist_sqrt_real_channel.csv", "manifest.json",
+FIG3_FILES = ["endpoints.csv", "fig3_overlay.svg", "histograms.csv", "manifest.json",
               "verdict.json"]
 ENDPOINTS_HEADER = ["trial", "brownian_scaled", "real_channel", "imag_channel"]
 

@@ -26,14 +26,9 @@ STREAM_GOLDEN = {
 FIG3_ARGS = ["--seed", "7", "--trials", "300", "--steps", "16"]
 FIG3_GOLDEN = {
     "endpoints.csv": "d333ec7e6fdb2197df878a14579a7ef85c3e9d0d6ead1f242fa10f72f4b9b657",
-    "hist_brownian_endpoints.csv":
-        "6e71fffefc5c3957ea415fcb932deb6f8148224b989bd0caa62ad7402cb9fdf5",
-    "hist_sqrt_real_channel.csv":
-        "e057b8e0ac8007de58b5a82bf3cf78b4367cca46b390a2514bc1b41360578abe",
-    "hist_sqrt_imag_channel.csv":
-        "08e60a89de581137a8267f171b026b7f648ee4aac21e3847ff7ebe7e5fb13c18",
+    "histograms.csv": "66b401316839480f14438c7167523a2e287f03e3c38ee917d210d736a2613bb5",
     "fig3_overlay.svg": "777f3d6988e80a105d663a66d4f76ab53c6635cee14d7f74b588c534d344e012",
-    "verdict.json": "9b97e03a336f57cda7ef2b2e2e9ee2218298dc4a31d2c6aa3e905d53751218f4",
+    "verdict.json": "183da20a7609d0a032710f79202164b64fae33f29a01fb3ff9e8724c6cdc3458",
 }
 
 # fig3 --seed 7 --trials 9001 --steps 16: more trials than several chunks of
@@ -41,12 +36,7 @@ FIG3_GOLDEN = {
 # CPUs; every file but manifest.json.
 FIG3_9001_GOLDEN = {
     "endpoints.csv": "bb39f930f2bc38c2aa880365b160adfcc9243418fe5f5a099c9dc3f58491b831",
-    "hist_brownian_endpoints.csv":
-        "87260ae826798f5f067bff52ed64b3f353c120ca24f5c1bf4462c5eff23444b3",
-    "hist_sqrt_real_channel.csv":
-        "cdbcb60ba2cd5c3a8939918d4bfda06fbbe8af4e3cb1060203b69f2f5cc9b905",
-    "hist_sqrt_imag_channel.csv":
-        "abba6219083f5f44817c81bd911ab01c2444be3a4af79ac5f5f337a29c2550c5",
+    "histograms.csv": "7d8810a765e121132adec4b7f66ccfac01fb1cec407315ef892b0be0c985947e",
     "fig3_overlay.svg": "e185aa109cff04129fc6d23fedc3b9ccdde7e678bab734237721c868547a0931",
     "verdict.json": "14a59400b4d385559e937dd1cf22b5611fa07058dfad21f287c46c88e82c64bc",
 }

@@ -6,21 +6,18 @@ tables), ``geometry`` (circle/oscillator/sphere quantization reports),
 ``kernels`` (one table of both kernels on a grid and the imaginary-time
 identity residual).
 
-The parser checks each flag (a ``fig3 --config`` value too); each subcommand
-checks what two flags set together, computes, and writes through one
-``_RunDir``.  It owns the output directory: it stages every artifact inside
-it and, once the run has finished, moves them into place with
-``manifest.json`` last, which holds the resolved configuration and a sha256
-per artifact keyed by its file name; every artifact sits directly in the
-output directory.  A run that fails anywhere before that
-leaves the directory as it was.  Every pass/fail decision is a check record
-built by ``_check``; each subcommand hands its list to ``_RunDir.finish``,
-which alone writes ``verdict.json`` (the records and ``all_passed``) and
-returns the exit code.  Re-running with the same configuration reproduces
-the artifacts byte for byte.  JSON artifacts are strict: a non-finite value
-is an error.  Exit codes: 0 success, 1 usage (a non-finite result, or a size
-too large for memory, included), 2 a failed check, 3 I/O failure (a failed
-``fig3`` worker process included).
+The parser checks each flag (a ``fig3 --config`` value too).  ``main`` is
+the one run path: it opens one ``_RunDir`` on ``--out``, whose first staged
+artifact creates it; the subcommand checks what two flags set together,
+computes, stages its artifacts and returns its check records; ``main`` then
+calls ``_RunDir.finish``, which alone writes ``verdict.json`` and moves the
+artifacts into place, ``manifest.json`` (the resolved configuration and a
+sha256 per artifact, keyed by file name) last.  A run that fails before that
+leaves the directory as it was.  Re-running with the same configuration
+reproduces the artifacts byte for byte.  JSON artifacts are strict: a
+non-finite value is an error.  Exit codes: 0 success, 1 usage (a non-finite
+result, or a size too large for memory, included), 2 a failed check, 3 I/O
+failure (a failed ``fig3`` worker process included).
 
 Only the numpy-free modules are imported here; ``fig3`` and ``geometry``
 import numpy and their modules when they run, so ``triangle`` and
@@ -209,39 +206,43 @@ def _check(name: str, statistic: float, threshold: float, **extra) -> dict:
 class _RunDir:
     """The output directory of one run: it owns the artifacts, the verdict and the exit code.
 
-    ``with _RunDir(out) as run:`` stages every artifact in a private
-    ``.staging-*`` directory inside ``out``; ``finish`` writes ``verdict.json``
+    ``with _RunDir(out) as run:`` creates nothing until the first ``path``
+    call, which creates ``out`` and a private ``.staging-*`` directory inside
+    it where every artifact is staged; ``finish`` writes ``verdict.json``
     from the run's check records, checksums the staged files, then moves
     them into ``out`` with ``manifest.json`` last, after the old manifest is
     gone, so ``out`` never holds a manifest whose checksums do not match its
-    files.  A run that fails before ``finish``
-    leaves ``out`` as it was, and removes ``out`` and each parent of it that
-    it created.  Every artifact is a file directly in ``out``, and its
-    manifest key is its file name; a rerun removes the old run's files it
-    does not rewrite.
+    files.  A run that fails before ``finish`` leaves ``out`` as it was, and
+    removes ``out`` and each parent of it that it created.  Every artifact is
+    a file directly in ``out``, and its manifest key is its file name; a
+    rerun removes the old run's files it does not rewrite.
     """
 
     def __init__(self, out: str) -> None:
         self.dir = Path(out)
         self.names: list[str] = []
+        self.created: list[Path] = []
+        self.staging: Path | None = None
 
     def __enter__(self) -> _RunDir:
-        # ``out`` and each missing ancestor, bottom up
-        self.created = [path for path in (self.dir, *self.dir.parents) if not path.exists()]
-        self.dir.mkdir(parents=True, exist_ok=True)
-        # Inside ``out``, so that every move in ``finish`` stays on one filesystem.
-        self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.dir))
         return self
 
     def __exit__(self, *exc_info) -> None:
         # A forked worker leaves through os._exit and never gets here.
-        shutil.rmtree(self.staging, ignore_errors=True)
+        if self.staging is not None:
+            shutil.rmtree(self.staging, ignore_errors=True)
         with suppress(OSError):  # stops at the first that is not empty: a finished run
             for path in self.created:
                 path.rmdir()
 
     def path(self, name: str) -> Path:
         """Staged path of the artifact file ``name``, to be written next."""
+        if self.staging is None:
+            # ``out`` and each missing ancestor, bottom up
+            self.created = [path for path in (self.dir, *self.dir.parents) if not path.exists()]
+            self.dir.mkdir(parents=True, exist_ok=True)
+            # Inside ``out``, so that every move in ``finish`` stays on one filesystem.
+            self.staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=self.dir))
         self.names.append(name)
         return self.staging / name
 
@@ -343,12 +344,11 @@ def _overlay_svg(series: list[tuple[str, str, np.ndarray, np.ndarray]], title: s
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fig3(args: argparse.Namespace) -> int:
+def cmd_fig3(args: argparse.Namespace, run: _RunDir) -> tuple[list[dict], dict]:
     """Brownian endpoints vs Wick-rotated square-root channels, with KS verdicts.
 
-    Once the streamed pass returns, the run directory is staged and the
-    workers of ``endpoints.csv`` are forked; the KS and moment checks, the
-    histograms and the overlay are computed while they format their rows.
+    The KS and moment checks, the histograms and the overlay are computed
+    while the forked workers of ``endpoints.csv`` format its rows.
     """
     import numpy as np
 
@@ -363,47 +363,45 @@ def cmd_fig3(args: argparse.Namespace) -> int:
              ("sqrt_real_channel", real_ch),
              ("sqrt_imag_channel", imag_ch)]
 
-    with _RunDir(args.output_dir) as run:
-        with _write_trial_csv(run.path("endpoints.csv"),
-                              ["trial", "brownian_scaled", "real_channel", "imag_channel"],
-                              [brownian_scaled, real_ch, imag_ch]):
-            checks = []
-            reports = {}
-            for name, samples in named:
-                ks = stats.ks_one_sample(samples, stats.std_normal_cdf)
-                # the benchmark gate reads the ks_* names and their passed
-                checks.append(_check(f"ks_{name}_vs_normal", ks.statistic,
-                                     ks.threshold_at(args.alpha), alpha=args.alpha))
-                reports[name] = asdict(stats.stats_report(samples))
-            two = stats.ks_two_sample(real_ch, imag_ch)
-            checks.append(_check("ks_two_sample_channels", two.statistic,
-                                 two.threshold_at(args.alpha), alpha=args.alpha))
-            # The step residual is relative, so one bound holds at every horizon.
-            checks.append(_check("square_identity_max_step", max_step, 1e-12))
+    with _write_trial_csv(run.path("endpoints.csv"),
+                          ["trial", "brownian_scaled", "real_channel", "imag_channel"],
+                          [brownian_scaled, real_ch, imag_ch]):
+        checks = []
+        reports = {}
+        for name, samples in named:
+            ks = stats.ks_one_sample(samples, stats.std_normal_cdf)
+            # the benchmark gate reads the ks_* names and their passed
+            checks.append(_check(f"ks_{name}_vs_normal", ks.statistic,
+                                 ks.threshold_at(args.alpha), alpha=args.alpha))
+            reports[name] = asdict(stats.stats_report(samples))
+        two = stats.ks_two_sample(real_ch, imag_ch)
+        checks.append(_check("ks_two_sample_channels", two.statistic,
+                             two.threshold_at(args.alpha), alpha=args.alpha))
+        # The step residual is relative, so one bound holds at every horizon.
+        checks.append(_check("square_identity_max_step", max_step, 1e-12))
 
-            curve_x = np.linspace(*_STANDARD_RANGE, 181)
-            curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
-            series = [("standard normal", "black", curve_x, curve_y)]
-            counts = []
-            for (name, samples), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
-                hist = stats.histogram_build(samples, args.n_bins, _STANDARD_RANGE)
-                counts.append(hist.counts.tolist())
-                centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
-                series.append((name.replace("_", " "), color, centers, hist.densities()))
-            # Every sample shares the edges: they depend only on --bins and the window.
-            edges = hist.edges.tolist()
-            header = ["bin_lo", "bin_hi", *(name for name, _ in named)]
-            _write_csv(run.path("histograms.csv"), header, zip(edges[:-1], edges[1:], *counts))
-            run.write_text("fig3_overlay.svg",
-                           _overlay_svg(series, "Brownian kernel vs rotated square-root channels"))
-        return run.finish(
-            "fig3", _flags(args), checks,
-            # the benchmark gate reads square_identity
-            square_identity={"max_step_residual": max_step, "max_path_residual": max_path},
-            channel_reports=reports)
+        curve_x = np.linspace(*_STANDARD_RANGE, 181)
+        curve_y = np.exp(-curve_x**2 / 2.0) / math.sqrt(2.0 * math.pi)
+        series = [("standard normal", "black", curve_x, curve_y)]
+        counts = []
+        for (name, samples), color in zip(named, ("#1f77b4", "#d62728", "#2ca02c")):
+            hist = stats.histogram_build(samples, args.n_bins, _STANDARD_RANGE)
+            counts.append(hist.counts.tolist())
+            centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
+            series.append((name.replace("_", " "), color, centers, hist.densities()))
+        # Every sample shares the edges: they depend only on --bins and the window.
+        edges = hist.edges.tolist()
+        header = ["bin_lo", "bin_hi", *(name for name, _ in named)]
+        _write_csv(run.path("histograms.csv"), header, zip(edges[:-1], edges[1:], *counts))
+        run.write_text("fig3_overlay.svg",
+                       _overlay_svg(series, "Brownian kernel vs rotated square-root channels"))
+    # the benchmark gate reads square_identity
+    return checks, {"square_identity": {"max_step_residual": max_step,
+                                        "max_path_residual": max_path},
+                    "channel_reports": reports}
 
 
-def cmd_triangle(args: argparse.Namespace) -> int:
+def cmd_triangle(args: argparse.Namespace, run: _RunDir) -> tuple[list[dict], dict]:
     """One table of rows per kind, plus the amplitude-vs-binomial residual and
     convergence tables.
 
@@ -414,46 +412,44 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     """
     n_max, kind = args.n_max, args.kind
     kinds = ["classical", "quantum"] if kind == "both" else [kind]
-    with _RunDir(args.out) as run:
-        # Each table is closed before finish hashes it.
-        with ExitStack() as stack:
-            tables = {which: stack.enter_context(
-                run.path(f"{which}_rows.csv").open("w", encoding="utf-8")) for which in kinds}
+    # Each table is closed before finish hashes it.
+    with ExitStack() as stack:
+        tables = {which: stack.enter_context(
+            run.path(f"{which}_rows.csv").open("w", encoding="utf-8")) for which in kinds}
+        for which, table in tables.items():
+            table.write(triangle.ROW_CSV_HEADER[which])
+        classical = triangle.classical_row(0)
+        if "classical" in tables:
+            tables["classical"].write(triangle.row_csv(classical))
+        max_residual = 0.0
+        residual_rows = []
+        sup_rows = []
+        for n in range(1, n_max + 1):
+            classical = triangle.next_classical_row(classical)
+            rows = {"classical": classical}
+            if "quantum" in kinds:
+                quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
+                residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
+                residual_rows.append((n, residual))
+                max_residual = max(max_residual, residual)
             for which, table in tables.items():
-                table.write(triangle.ROW_CSV_HEADER[which])
-            classical = triangle.classical_row(0)
-            if "classical" in tables:
-                tables["classical"].write(triangle.row_csv(classical))
-            max_residual = 0.0
-            residual_rows = []
-            sup_rows = []
-            for n in range(1, n_max + 1):
-                classical = triangle.next_classical_row(classical)
-                rows = {"classical": classical}
-                if "quantum" in kinds:
-                    quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
-                    residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
-                    residual_rows.append((n, residual))
-                    max_residual = max(max_residual, residual)
-                for which, table in tables.items():
-                    table.write(triangle.row_csv(rows[which]))
-                gauss = triangle.gaussian_approx_row(n)
-                sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss)
-                                      for which in kinds)))
+                table.write(triangle.row_csv(rows[which]))
+            gauss = triangle.gaussian_approx_row(n)
+            sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss)
+                                  for which in kinds)))
 
-        # Classical rows alone are not judged: that run's checks are empty.
-        checks, details = [], {}
-        if "quantum" in kinds:
-            _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
-            checks.append(_check("max_modulus_residual", max_residual, 1e-10))
-            # the benchmark gate reads max_modulus_residual here
-            details["max_modulus_residual"] = max_residual
-        _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
-
-        return run.finish("triangle", _flags(args), checks, **details)
+    # Classical rows alone are not judged: that run's checks are empty.
+    checks, details = [], {}
+    if "quantum" in kinds:
+        _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
+        checks.append(_check("max_modulus_residual", max_residual, 1e-10))
+        # the benchmark gate reads max_modulus_residual here
+        details["max_modulus_residual"] = max_residual
+    _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
+    return checks, details
 
 
-def cmd_geometry(args: argparse.Namespace) -> int:
+def cmd_geometry(args: argparse.Namespace, run: _RunDir) -> tuple[list[dict], dict]:
     """Circle, oscillator and sphere quantization checks.
 
     ``geometry_report.json`` holds only what ``verdict.json`` and the manifest
@@ -462,7 +458,7 @@ def cmd_geometry(args: argparse.Namespace) -> int:
 
     Each oscillator row is checked where it is built: a row that ``--hbar``
     and ``--omega`` take out of float range is a usage error, raised before
-    the other sections run and before ``--out`` exists.
+    the other sections run.
     """
     import numpy as np
 
@@ -534,18 +530,13 @@ def cmd_geometry(args: argparse.Namespace) -> int:
         checks += [_check("sphere_max_offdiag_residual", worst_offdiag, 1e-12),
                    _check("sphere_max_scalar_gap", worst_scalar_gap, 1e-12)]
 
-    with _RunDir(args.out) as run:
-        # the benchmark gate reads this all_passed
-        run.write_json("geometry_report.json", {
-            "sections": sections, "all_passed": all(check["passed"] for check in checks)})
-        return run.finish("geometry", _flags(args), checks)
+    # the benchmark gate reads this all_passed
+    run.write_json("geometry_report.json", {
+        "sections": sections, "all_passed": all(check["passed"] for check in checks)})
+    return checks, {}
 
 
-# Points of the kernels grid in x and in t; the manifest records them.
-_KERNEL_GRID = {"n_x": 40, "n_t": 25}
-
-
-def cmd_kernels(args: argparse.Namespace) -> int:
+def cmd_kernels(args: argparse.Namespace, run: _RunDir) -> tuple[list[dict], dict]:
     """Both kernels on one (x, t) grid table, plus the imaginary-time identity residual.
 
     The diffusion coefficient is the one the identity holds for, D = hbar/(2m).
@@ -556,7 +547,7 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         raise UsageError(f"hbar/(2*mass) must be positive and finite, got {diffusion}")
     spec = kernels.KernelSpec(diffusion_D=diffusion, hbar=hbar, mass_m=mass)
     # np.linspace(-4, 4, n_x) and np.linspace(0.1, 2.5, n_t), bit for bit, without numpy
-    n_x, n_t = _KERNEL_GRID["n_x"], _KERNEL_GRID["n_t"]
+    n_x, n_t = args.n_x, args.n_t
     xs = [-4.0 + i * (8.0 / (n_x - 1)) for i in range(n_x - 1)] + [4.0]
     ts = [0.1 + i * ((2.5 - 0.1) / (n_t - 1)) for i in range(n_t - 1)] + [2.5]
     # 4*pi*D*t, m/(2*pi*hbar*t) and the phase m*x**2/(2*hbar*t) at the grid's edges
@@ -571,14 +562,12 @@ def cmd_kernels(args: argparse.Namespace) -> int:
         raise UsageError(f"--hbar {hbar} and --mass {mass} take a kernel argument "
                          "out of the normal float range on the grid")
     grid = [(x, t) for t in ts for x in xs]
-    with _RunDir(args.out) as run:
-        _write_csv(run.path("kernel_grid.csv"),
-                   ["x", "t", "heat", "schrodinger_re", "schrodinger_im"],
-                   ((x, t, kernels.heat_kernel(spec, x, t), value.real, value.imag)
-                    for x, t in grid for value in [kernels.schrodinger_kernel(spec, x, t)]))
-        residual = kernels.wick_identity_residual(spec, spec, grid)
-        return run.finish("kernels", {**_flags(args), **_KERNEL_GRID},
-                          [_check("wick_identity_residual", residual, 1e-12)])
+    _write_csv(run.path("kernel_grid.csv"),
+               ["x", "t", "heat", "schrodinger_re", "schrodinger_im"],
+               ((x, t, kernels.heat_kernel(spec, x, t), value.real, value.imag)
+                for x, t in grid for value in [kernels.schrodinger_kernel(spec, x, t)]))
+    residual = kernels.wick_identity_residual(spec, spec, grid)
+    return [_check("wick_identity_residual", residual, 1e-12)], {}
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +587,12 @@ def build_parser(fig3_config: dict | None = None) -> argparse.ArgumentParser:
     parser = _Parser(prog="parcelwalk",
                      description="Square roots of Brownian motion and quantized-geometry checks")
     sub = parser.add_subparsers(dest="command", required=True)
+    # One --out for every subcommand; argparse shares this action among them.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="out", dest="output_dir", metavar="OUT")
 
-    fig3 = sub.add_parser("fig3", help="Brownian vs rotated square-root comparison")
+    fig3 = sub.add_parser("fig3", parents=[out],
+                          help="Brownian vs rotated square-root comparison")
     fig3.add_argument("--seed", type=_int_in("seed", 0, 2**64 - 1), default=42)
     fig3.add_argument("--trials", type=_int_in("trials", 100), default=100_000)
     fig3.add_argument("--steps", type=_int_in("steps", 1), default=1_000)
@@ -608,17 +601,15 @@ def build_parser(fig3_config: dict | None = None) -> argparse.ArgumentParser:
     fig3.add_argument("--bins", type=_int_in("n_bins", 1, MAX_BINS), default=60,
                       dest="n_bins", metavar="BINS")
     fig3.add_argument("--alpha", type=_alpha, default=0.01)
-    fig3.add_argument("--out", default="out", dest="output_dir", metavar="OUT")
     fig3.add_argument("--config")
     fig3.set_defaults(run=cmd_fig3, **(fig3_config or {}))
 
-    tri = sub.add_parser("triangle", help="triangle rows and convergence tables")
+    tri = sub.add_parser("triangle", parents=[out], help="triangle rows and convergence tables")
     tri.set_defaults(run=cmd_triangle)
     tri.add_argument("--n-max", type=_int_in("n_max", 1, triangle.MAX_ROW), default=50)
     tri.add_argument("--kind", choices=["classical", "quantum", "both"], default="both")
-    tri.add_argument("--out", type=str, default="out")
 
-    geo = sub.add_parser("geometry", help="quantization reports")
+    geo = sub.add_parser("geometry", parents=[out], help="quantization reports")
     geo.set_defaults(run=cmd_geometry)
     geo.add_argument("--report", choices=["circle", "oscillator", "sphere", "all"],
                      default="all")
@@ -630,13 +621,12 @@ def build_parser(fig3_config: dict | None = None) -> argparse.ArgumentParser:
     geo.add_argument("--sphere-samples", type=_int_in("sphere_samples", 1, MAX_SPHERE_SAMPLES),
                      default=1000)
     geo.add_argument("--seed", type=_int_in("seed", 0, 2**128 - 1), default=42)
-    geo.add_argument("--out", type=str, default="out")
 
-    ker = sub.add_parser("kernels", help="kernel grid table and identity residual")
-    ker.set_defaults(run=cmd_kernels)
+    ker = sub.add_parser("kernels", parents=[out], help="kernel grid table and identity residual")
+    # Points of the grid in x and in t: not flags, but the manifest records them.
+    ker.set_defaults(run=cmd_kernels, n_x=40, n_t=25)
     ker.add_argument("--hbar", type=_positive_float("hbar"), default=1.0)
     ker.add_argument("--mass", type=_positive_float("mass"), default=1.0)
-    ker.add_argument("--out", type=str, default="out")
 
     return parser
 
@@ -649,7 +639,9 @@ def main(argv=None) -> int:
             if unknown := [key for key in config if key not in _flags(args)]:
                 raise UsageError(f"unknown config key: {unknown[0]}")
             args = build_parser(config).parse_args(argv)
-        return args.run(args)
+        with _RunDir(args.output_dir) as run:
+            checks, details = args.run(args, run)
+            return run.finish(args.command, _flags(args), checks, **details)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

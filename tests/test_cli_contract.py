@@ -126,7 +126,11 @@ def test_geometry_rejects_an_empty_sphere_sample(tmp_path):
     ["fig3", "--bins", "0"],
     ["fig3", "--trials", "100", "--steps", "3", "--horizon", "5e-324"],
 ])
-def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, argv):
+def test_bad_input_is_a_usage_error_before_any_write(tmp_path, capsys, monkeypatch, argv):
+    def staged(*args, **kwargs):
+        raise AssertionError("a run directory was staged")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", staged)
     out = tmp_path / "run"
     assert main(argv + ["--out", str(out)]) == EXIT_USAGE
     err = capsys.readouterr().err

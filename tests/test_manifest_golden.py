@@ -17,14 +17,14 @@ MANIFEST_GOLDEN = {
     "fig3": (["fig3", "--seed", "7", "--trials", "300", "--steps", "16"],
              "fd90d882ff80f3d924dcdde1497c68fa47c1e240be3741de3a0477f5a9441628"),
     "triangle-40-both": (["triangle", "--n-max", "40", "--kind", "both"],
-                         "f682778a996cee0422321f233e35420158938519d078b06b77f6f551fc9b1e04"),
+                         "201c0512d4e3ced980c97c1ffe1d49e057000213285d2c99ea7230d5a02a0c6e"),
     "triangle-25-quantum": (["triangle", "--n-max", "25", "--kind", "quantum"],
-                            "5297b2591181c154f7c74454ddd40c1a7c47b91c198a8c48975dfa884f3fe5ef"),
+                            "3f04c67dc374d3cc2761d7a2c498406b907dda8713a703087fc58d23603a99fe"),
     "geometry-all": (["geometry", "--report", "all", "--circle-n", "64",
                       "--sphere-samples", "2000", "--seed", "3"],
-                     "8fa77ef77749a9201d2f1e1cb9e9dceb4183c99bf9dd08347a144fc15e516b19"),
+                     "53aa96fb268be36ce540f56ca55252a6dcd7c2066768a387ae75dbca37852355"),
     "kernels": (["kernels"],
-                "cf5769f39b17a0b7c04510084d7924202a0601e31c56cd133c6a1416b4541322"),
+                "2ca27c4670cc4e50d1273fae930ceb8afcaadbefa4259e8b8812ec37ca6c182e"),
 }
 
 

@@ -4,7 +4,8 @@ numpy reports its array buffers to ``tracemalloc``, so each peak counts the
 arrays a stage makes as well as its Python objects; the inputs are built
 before tracing starts.  Each bound sits well below what one more array or
 one Python float per sample would cost: the CDF and the two-sample KS may
-hold a few arrays of their input's size, and the ``endpoints.csv`` writer
+hold a few arrays of their input's size, the one-sample KS two (its sorted
+copy and their CDF) and fixed-size chunks, and the ``endpoints.csv`` writer
 and the manifest hash a few fixed-size chunks whatever the size.
 """
 import os
@@ -13,7 +14,7 @@ import tracemalloc
 import numpy as np
 
 from parcelwalk import cli, ranges
-from parcelwalk.stats import ks_two_sample, std_normal_cdf
+from parcelwalk.stats import ks_one_sample, ks_two_sample, std_normal_cdf
 
 MiB = 1 << 20
 
@@ -31,6 +32,11 @@ def traced_peak(call) -> int:
 def test_normal_cdf_of_a_million_samples_holds_no_python_float_per_sample():
     x = np.random.default_rng(1).standard_normal(10**6)
     assert traced_peak(lambda: std_normal_cdf(x)) <= 4 * x.nbytes
+
+
+def test_one_sample_ks_holds_two_arrays_of_its_input_size():
+    x = np.random.default_rng(4).standard_normal(10**6)
+    assert traced_peak(lambda: ks_one_sample(x, std_normal_cdf)) <= 2 * x.nbytes + MiB
 
 
 def test_two_sample_ks_holds_a_few_arrays_of_its_input_size():

@@ -130,6 +130,14 @@ def fail_at_the_manifest(monkeypatch):
     monkeypatch.setattr(cli, "_json_text", failing_json_text)
 
 
+def fail_at_staging(monkeypatch):
+    """Fail where the staging directory is made: ``--out`` exists, nothing is staged yet."""
+    def failing_mkdtemp(*args, **kwargs):
+        raise OSError(28, "planted failure at the staging directory")
+
+    monkeypatch.setattr(tempfile, "mkdtemp", failing_mkdtemp)
+
+
 GEOMETRY_ARGS = ["geometry", "--circle-n", "8", "--sphere-samples", "10"]
 FAILED_RUNS = pytest.mark.parametrize("args, plant", [
     (FIG3_ARGS, fail_in_formatting_worker),
@@ -139,8 +147,9 @@ FAILED_RUNS = pytest.mark.parametrize("args, plant", [
     (TRIANGLE_ARGS, fail_at_the_manifest),
     (GEOMETRY_ARGS, fail_at_the_manifest),
     (["kernels"], fail_at_the_manifest),
+    (["kernels"], fail_at_staging),
 ], ids=["fig3-worker", "fig3-killed-worker", "triangle-row-7", "fig3-manifest", "triangle-manifest",
-        "geometry-manifest", "kernels-manifest"])
+        "geometry-manifest", "kernels-manifest", "kernels-staging"])
 
 
 def snapshot(out):

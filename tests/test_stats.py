@@ -117,6 +117,33 @@ def test_ks_one_sample_level_and_scipy_agreement():
                                              abs=1e-12)
 
 
+def whole_array_ks_statistic(x, reference_cdf):
+    """The one-sample sup over whole arrays, the reference for the chunked one."""
+    x = np.sort(x)
+    n = x.size
+    ref = np.asarray(reference_cdf(x), dtype=float)
+    grid = np.arange(n + 1) / n
+    return max(float((grid[1:] - ref).max()), float((ref - grid[:-1]).max()))
+
+
+@pytest.mark.parametrize("n", [20, 21, 27, 28, 29, 100, 343])
+def test_ks_one_sample_in_chunks_equals_the_whole_array_sup(monkeypatch, n):
+    monkeypatch.setattr(stats, "_KS_CHUNK", 7)
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n), 1.3 * rng.standard_normal(n) + 0.2,
+              np.abs(rng.standard_normal(n))):
+        assert (ks_one_sample(x, std_normal_cdf).statistic
+                == whole_array_ks_statistic(x, std_normal_cdf))
+    # a NaN anywhere in the reference CDF, in any chunk, makes the statistic NaN
+    for at in (0, n // 2, n - 1):
+        def nan_cdf(v):
+            out = std_normal_cdf(v)
+            out[at] = np.nan
+            return out
+        assert math.isnan(ks_one_sample(x, nan_cdf).statistic)
+        assert math.isnan(whole_array_ks_statistic(x, nan_cdf))
+
+
 def test_ks_one_sample_constant_samples():
     result = ks_one_sample(np.zeros(50), std_normal_cdf)
     assert result.statistic >= 0.5

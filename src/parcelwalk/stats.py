@@ -73,9 +73,10 @@ def std_normal_cdf(x) -> np.ndarray:
     return out if np.ndim(x) else out[0]
 
 
-# Samples per chunk of ks_one_sample's grid and gaps: each temporary stays at
-# 256 KiB, and the sorted copy is freed once its CDF is taken, so no more
-# than two arrays of the sample's size are alive at once.
+# Samples per chunk of the KS gaps: each temporary stays at 256 KiB.  In
+# ks_one_sample the sorted copy is freed once its CDF is taken, so no more
+# than two arrays of the sample's size are alive at once; ks_two_sample holds
+# only the two sorted samples.
 _KS_CHUNK = 1 << 15
 
 
@@ -141,13 +142,16 @@ def ks_two_sample(a, b) -> KsResult:
     n, m = xa.size, xb.size
     if n < 20 or m < 20:
         raise ValueError(f"two-sample KS needs >= 20 samples per side, got {n} and {m}")
-    # The sup over the pooled points, taken over each sample's points in turn
-    # with one gap array of that sample's size.
+    # The sup over the pooled points, taken over each sample's points in turn,
+    # _KS_CHUNK at a time: each point's gap is the same operations on the same
+    # numbers whatever its chunk, so the statistic does not depend on it.
     stat = 0.0
     for points in (xa, xb):
-        gap = np.searchsorted(xa, points, side="right") / n
-        gap -= np.searchsorted(xb, points, side="right") / m
-        stat = max(stat, float(np.abs(gap, out=gap).max()))
+        for lo in range(0, points.size, _KS_CHUNK):
+            chunk = points[lo:lo + _KS_CHUNK]
+            gap = np.searchsorted(xa, chunk, side="right") / n
+            gap -= np.searchsorted(xb, chunk, side="right") / m
+            stat = max(stat, float(np.abs(gap, out=gap).max()))
     return KsResult(statistic=stat, effective_n=n * m / (n + m))
 
 

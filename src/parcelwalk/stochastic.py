@@ -14,11 +14,13 @@ The same property lets ``fig3`` stream: ``stream_endpoint_statistics``
 generates blocks of about 2**15 increments into one reused buffer, resetting
 a single Philox generator to each trial's substream, and one block kernel
 reduces every block to its per-trial W_T and square-root endpoint and to the
-block's square-identity maxima.  The trials x steps ensemble is never held,
-and the results are bit-identical to building it as one array with
-``brownian_increments`` and reducing that array with
-``sqrt_endpoint_statistics`` and ``square_identity_residuals``, which run the
-same kernel over slices of it and read trials and steps from its shape.
+block's square-identity maxima.  The trials x steps ensemble is never held.
+The reference is the ensemble built as one array with
+``brownian_increments`` and reduced by ``sqrt_endpoint_statistics`` and
+``square_identity_residuals``, each one call of the same kernel on the whole
+array, which reads trials and steps from its shape.  Every row goes through
+the same element operations whichever block holds it, so the streamed
+results are bit-identical to the reference for any block size.
 
 The pass runs on every CPU the process may use: the process reduces the
 first contiguous range of trials itself inside ``ranges.run_in_ranges``,
@@ -27,13 +29,12 @@ through a file.  A row's results do not depend on where the blocks split,
 so they are the same bit for bit for any number of ranges, which is
 recorded nowhere; the CLI formats ``endpoints.csv`` over the same ranges
 while it computes the statistics.
-The materialised array and its reductions stay serial: they are the
-reference the streamed pass is tested against.
 
 The kernel works in real arithmetic: each root increment lies on one axis,
 so its square is the real square of its parcel value times the square of
-|dW|**(1/2).  It writes into work buffers allocated once per pass, sized to
-the first (largest) block, so a block costs no fresh allocations.
+|dW|**(1/2).  The streamed pass gives it work buffers allocated once per
+range, sized to the first (largest) block, so a block costs no fresh
+allocations.
 """
 from __future__ import annotations
 
@@ -223,60 +224,13 @@ def _reduce_block(block: np.ndarray, parcel=_PARCEL, work=None):
     return w_T, endpoints, plus.max(), path
 
 
-def _reduce_blocks(blocks, w_T: np.ndarray, endpoints: np.ndarray) -> tuple[float, float]:
-    """Run the block kernel over ``(first_row, block)`` pairs; return the residual maxima.
-
-    Row ``first_row + i`` of each block writes its ``W_T`` and square-root
-    endpoint into that index of ``w_T`` and ``endpoints``.  The kernel's work
-    buffers are sized to the first block, which is the largest, and every
-    block uses their leading rows.  The maxima accumulate with ``np.maximum``
-    so that a NaN residual in any block reaches the result instead of losing
-    to 0.0.
-    """
-    max_step = max_path = 0.0
-    work = None
-    for lo, block in blocks:
-        hi = lo + len(block)
-        work = work or _work_buffers(*block.shape)
-        w_T[lo:hi], endpoints[lo:hi], step, path = _reduce_block(block, work=work)
-        max_step = np.maximum(max_step, step)
-        max_path = np.maximum(max_path, path)
-    return float(max_step), float(max_path)
-
-
-def _reduce_ensemble(increments, statistics: bool = False):
-    """``(endpoints, max_step, max_path)`` of a ``(trials, steps)`` array, block by block.
-
-    Trials and steps are the array's shape, which must be 2-D.  With
-    ``statistics``, an array too small for endpoint statistics is refused
-    before any block is reduced.
-    """
+def _ensemble_array(increments) -> np.ndarray:
+    """``increments`` as a float ``(trials, steps)`` array with at least one trial and step."""
     increments = np.asarray(increments, dtype=float)
-    if increments.ndim != 2:
-        raise ValueError(f"increments must be a (trials, steps) array, got shape "
-                         f"{increments.shape}")
-    trials, steps = increments.shape
-    if statistics:
-        _check_statistics_trials(trials)
-    rows = _block_rows(steps)
-    blocks = ((lo, increments[lo:lo + rows]) for lo in range(0, trials, rows))
-    endpoints = np.empty(trials, dtype=np.complex128)
-    max_step, max_path = _reduce_blocks(blocks, np.empty(trials), endpoints)
-    return endpoints, max_step, max_path
-
-
-def _streamed_blocks(seed: int, steps: int, horizon_T: float, first: int, stop: int):
-    """Generate trials [first, stop) as ``(trial, block)`` pairs, block by block.
-
-    One buffer serves every block: each is reduced before the next is drawn.
-    """
-    fill = _row_source(seed, steps, horizon_T)
-    rows = _block_rows(steps)
-    buffer = np.empty((min(rows, stop - first), steps))
-    for lo in range(first, stop, rows):
-        block = buffer[:min(rows, stop - lo)]
-        fill(block, lo)
-        yield lo, block
+    if increments.ndim != 2 or 0 in increments.shape:
+        raise ValueError("increments must be a (trials, steps) array with trials, steps >= 1, "
+                         f"got shape {increments.shape}")
+    return increments
 
 
 def _stream_in_ranges(seed: int, trials: int, steps: int, horizon_T: float):
@@ -289,9 +243,24 @@ def _stream_in_ranges(seed: int, trials: int, steps: int, horizon_T: float):
     """
     w_T = np.empty(trials)
     endpoints = np.empty(trials, dtype=np.complex128)
+    rows = _block_rows(steps)
 
     def reduce_range(lo: int, hi: int) -> tuple[float, float]:
-        return _reduce_blocks(_streamed_blocks(seed, steps, horizon_T, lo, hi), w_T, endpoints)
+        # One block buffer and one set of work buffers, sized to the first
+        # (largest) block, serve every block: each is reduced before the next
+        # is drawn.  np.maximum, unlike max, lets a NaN residual of any block
+        # reach the maxima instead of losing to 0.0.
+        fill = _row_source(seed, steps, horizon_T)
+        buffer = np.empty((min(rows, hi - lo), steps))
+        work = _work_buffers(*buffer.shape)
+        max_step = max_path = 0.0
+        for first in range(lo, hi, rows):
+            stop = min(first + rows, hi)
+            block = buffer[:stop - first]
+            fill(block, first)
+            w_T[first:stop], endpoints[first:stop], step, path = _reduce_block(block, work=work)
+            max_step, max_path = np.maximum(max_step, step), np.maximum(max_path, path)
+        return float(max_step), float(max_path)
 
     def reduce_into(lo: int, hi: int, out) -> None:
         maxima = reduce_range(lo, hi)
@@ -338,7 +307,9 @@ def sqrt_endpoint_statistics(increments) -> tuple[np.ndarray, np.ndarray]:
     scaled by its population standard deviation (the raw sums carry a
     positive drift from E|dW|**(1/2) that the rotation does not remove).
     """
-    endpoints, _, _ = _reduce_ensemble(increments, statistics=True)
+    increments = _ensemble_array(increments)
+    _check_statistics_trials(len(increments))
+    _, endpoints, _, _ = _reduce_block(increments)
     return _standard_channels(endpoints)
 
 
@@ -349,8 +320,8 @@ def square_identity_residuals(increments) -> tuple[float, float]:
     |(dY)**2 - dW| / max(1, |dW|) and the max per-path value of
     |sum (dY)**2 - W_T|.  A NaN anywhere in the array makes both NaN.
     """
-    _, max_step, max_path = _reduce_ensemble(increments)
-    return max_step, max_path
+    _, _, max_step, max_path = _reduce_block(_ensemble_array(increments))
+    return float(max_step), float(max_path)
 
 
 def stream_endpoint_statistics(seed: int, trials: int, steps: int,

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from parcelwalk import stochastic
+from parcelwalk import ranges, stochastic
 from parcelwalk.stochastic import (
     brownian_increments,
     increment_block,
@@ -123,14 +123,37 @@ def test_reused_work_buffers_match_a_fresh_kernel_per_block(data):
     for block, expected in zip(blocks, fresh):
         reused = stochastic._reduce_block(block, work=work)
         assert all(same(a, b) for a, b in zip(reused, expected))
-    firsts = np.cumsum([0] + row_counts[:-1])
-    w_T = np.empty(sum(row_counts))
-    endpoints = np.empty(sum(row_counts), dtype=np.complex128)
-    step, path = stochastic._reduce_blocks(zip(firsts, blocks), w_T, endpoints)
-    assert same(w_T, np.concatenate([f[0] for f in fresh]))
-    assert same(endpoints, np.concatenate([f[1] for f in fresh]))
-    assert same(step, np.max([f[2] for f in fresh]))
-    assert same(path, np.max([f[3] for f in fresh]))
+
+
+# The stream folds each block's maxima into its range's: a NaN residual in a
+# later block must reach them instead of losing to 0.0, and every block's
+# rows must land where the whole-array kernel puts them.  Blocks of 4 rows
+# split 11 trials into 4 + 4 + 3.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("nan_trial", [5, 10])
+def test_a_nan_in_a_later_streamed_block_reaches_both_maxima(monkeypatch, nan_trial):
+    monkeypatch.setattr(ranges, "cpu_count", lambda: 1)
+    monkeypatch.setattr(stochastic, "_BLOCK_ELEMENTS", 4 * 8)
+    source = stochastic._row_source
+
+    def planting(seed, steps, horizon_T):
+        fill = source(seed, steps, horizon_T)
+
+        def fill_with_nan(rows, first_trial):
+            assert len(rows) <= 4
+            fill(rows, first_trial)
+            if first_trial <= nan_trial < first_trial + len(rows):
+                rows[nan_trial - first_trial, 3] = np.nan
+
+        return fill_with_nan
+
+    increments = increment_block(5, 0, 11, 8, 1.0)
+    increments[nan_trial, 3] = np.nan
+    expected = stochastic._reduce_block(increments)
+    monkeypatch.setattr(stochastic, "_row_source", planting)
+    streamed = stochastic._stream_in_ranges(5, 11, 8, 1.0)
+    assert all(same(a, b) for a, b in zip(streamed, expected))
+    assert math.isnan(streamed[2]) and math.isnan(streamed[3])
 
 
 def test_parcel_with_non_real_square_is_rejected():

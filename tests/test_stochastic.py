@@ -155,11 +155,18 @@ def test_reductions_refuse_arrays_that_are_not_2d(reduction, shape):
         reduction(np.ones(shape))
 
 
+@pytest.mark.parametrize("reduction", [sqrt_endpoint_statistics, square_identity_residuals])
+@pytest.mark.parametrize("shape", [(3, 0), (100, 0), (0, 5)])
+def test_reductions_refuse_an_empty_ensemble(reduction, shape):
+    with pytest.raises(ValueError, match="trials, steps >= 1"):
+        reduction(np.empty(shape))
+
+
 def test_too_few_rows_are_refused_before_any_block_is_reduced(monkeypatch):
     def no_blocks(*args):
         raise AssertionError("a block was reduced")
 
-    monkeypatch.setattr(stochastic, "_reduce_blocks", no_blocks)
+    monkeypatch.setattr(stochastic, "_reduce_block", no_blocks)
     with pytest.raises(ValueError, match="100 trials"):
         sqrt_endpoint_statistics(np.ones((99, 8)))
 
@@ -177,8 +184,8 @@ def test_square_identity_residuals_small_ensemble():
 
 @pytest.mark.parametrize("row", [0, 39])
 def test_square_identity_residuals_propagate_nan(row):
-    # 8 steps put every row in one block; at _BLOCK_ELEMENTS steps each row
-    # is its own block, so the NaN must carry across blocks.
+    # The reference is one kernel call on the whole array, at any row length;
+    # test_block_kernel.py checks that the stream's fold across blocks keeps a NaN.
     for steps in (8, stochastic._BLOCK_ELEMENTS):
         increments = brownian_increments(19, 40, steps, 1.0)
         increments[row, 3] = np.nan

@@ -73,6 +73,14 @@ MAX_OSCILLATOR_N = 1000
 # 39 MiB RSS (36 MiB at the default 60 bins) and the overlay SVG is 0.42 MB.
 MAX_BINS = 10**4
 
+# triangle's bound on |m - p| / p, for m = abs(sqrt(p) * exp(i*phase))**2.
+# With u = eps/2: sqrt is correctly rounded (u); cos and sin are within an
+# ulp, so |exp(i*phase)| is within 2u of 1; the product is within u per
+# component; abs (hypot) and **2 are within an ulp (2u) each.  Squaring
+# doubles the first four, so |m - p| <= (2 + 4 + 2 + 4 + 2)u * p = 7*eps*p to
+# first order.  Every entry of rows 1..1000 is within 2.99*eps.
+_MODULUS_RELATIVE_TOL = 8 * sys.float_info.epsilon
+
 
 class UsageError(Exception):
     pass
@@ -195,6 +203,12 @@ def _json_text(name: str, payload: dict) -> str:
         return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise ValueError(f"{name} not written: {exc}") from None
+
+
+def _worst(values) -> float:
+    """The largest of ``values``, or NaN if one is NaN (``max`` drops a NaN that is not first)."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def _check(name: str, statistic: float, threshold: float, **extra) -> dict:
@@ -407,8 +421,12 @@ def cmd_triangle(args: argparse.Namespace, run: _RunDir) -> tuple[list[dict], di
 
     One pass builds each row once, with its profile: the classical row by
     Pascal addition, the quantum row from its pmf.  The tables of rows
-    (``classical_rows.csv``, ``quantum_rows.csv``), residuals and sup errors
-    (against one Gaussian row per ``n``) read those profiles.
+    (``classical_rows.csv`` as n,k,count, ``quantum_rows.csv`` as n,k,re,im)
+    hold each number once; the residuals and sup errors (against one
+    Gaussian row per ``n``) read the profiles.  Every run counts the Pascal
+    rows that do not sum to ``2**n`` or are not symmetric; a run that builds
+    quantum rows also judges each ``|psi|**2`` against its pmf, relative to
+    that pmf.
     """
     n_max, kind = args.n_max, args.kind
     kinds = ["classical", "quantum"] if kind == "both" else [kind]
@@ -421,30 +439,35 @@ def cmd_triangle(args: argparse.Namespace, run: _RunDir) -> tuple[list[dict], di
         classical = triangle.classical_row(0)
         if "classical" in tables:
             tables["classical"].write(triangle.row_csv(classical))
-        max_residual = 0.0
+        defects = 0
         residual_rows = []
+        relative_rows = []
         sup_rows = []
         for n in range(1, n_max + 1):
             classical = triangle.next_classical_row(classical)
+            counts = classical.values
+            if sum(counts) != 1 << n or counts != counts[::-1]:
+                defects += 1
             rows = {"classical": classical}
             if "quantum" in kinds:
                 quantum = rows["quantum"] = triangle.qtpt_row(n, classical)
-                residual = max(abs(m - p) for m, p in zip(quantum.probs, classical.probs))
-                residual_rows.append((n, residual))
-                max_residual = max(max_residual, residual)
+                gaps = [abs(m - p) for m, p in zip(quantum.probs, classical.probs)]
+                residual_rows.append((n, _worst(gaps)))
+                # Every pmf to MAX_ROW is at least 2**-MAX_ROW, a normal float.
+                relative_rows.append(_worst(gap / p for gap, p in zip(gaps, classical.probs)))
             for which, table in tables.items():
                 table.write(triangle.row_csv(rows[which]))
             gauss = triangle.gaussian_approx_row(n)
             sup_rows.append((n, *(triangle.sup_error(rows[which].probs, gauss)
                                   for which in kinds)))
 
-    # Classical rows alone are not judged: that run's checks are empty.
-    checks, details = [], {}
+    checks, details = [_check("classical_row_defects", defects, 0)], {}
     if "quantum" in kinds:
         _write_csv(run.path("modulus_residuals.csv"), ["n", "max_abs_residual"], residual_rows)
-        checks.append(_check("max_modulus_residual", max_residual, 1e-10))
+        checks.append(_check("max_modulus_relative_residual", _worst(relative_rows),
+                             _MODULUS_RELATIVE_TOL))
         # the benchmark gate reads max_modulus_residual here
-        details["max_modulus_residual"] = max_residual
+        details["max_modulus_residual"] = _worst(residual for _, residual in residual_rows)
     _write_csv(run.path("sup_error.csv"), ["n"] + [f"{w}_sup_error" for w in kinds], sup_rows)
     return checks, details
 

@@ -9,8 +9,10 @@ A pass over rows 0..N builds each row once, with its profile: Pascal's
 rule (:func:`next_classical_row`, no ``math.comb``) and one division by
 ``2**n`` per count, then :func:`qtpt_row`'s amplitudes from that pmf and
 one squared modulus each.  Every value is bit-identical to the per-entry
-functions :func:`binomial_pmf` and :func:`qtpt_amplitude`.  The module is
-pure Python and never imports numpy.
+functions :func:`binomial_pmf` and :func:`qtpt_amplitude`.  A table line
+(:func:`row_csv`) holds each number once, a count or an amplitude's two
+parts; the pmf and ``|psi|**2`` are recomputed from it bit for bit.  The
+module is pure Python and never imports numpy.
 """
 from __future__ import annotations
 
@@ -141,43 +143,17 @@ def row_sup_error(n: int, kind: str) -> float:
 
 
 # The header of each kind's table of rows; ``row_csv`` writes its lines.
-ROW_CSV_HEADER = {"classical": "n,k,count,pmf\n", "quantum": "n,k,re,im,modulus2\n"}
+ROW_CSV_HEADER = {"classical": "n,k,count\n", "quantum": "n,k,re,im\n"}
 
 
 def row_csv(row: TriangleRow) -> str:
-    """One row's lines of its kind's table: n,k,count,pmf or n,k,re,im,modulus2.
+    """One row's lines of its kind's table, n,k,count or n,k,re,im, with no header.
 
-    There is no header (see ``ROW_CSV_HEADER``).  Each value is written as
-    ``str`` of the count and ``repr`` of a float.  An entry past the middle
-    that equals its mirror entry ``n - k`` (for an amplitude: the mirror's
-    conjugate) reuses that entry's text, with the sign of the imaginary part
-    flipped; the equality is checked per entry, and an entry with a zero
-    component is formatted on its own, since 0.0 == -0.0 while their texts
-    differ.
+    A count is written as ``str`` and ``re``, ``im`` as ``repr``, so each reads
+    back exactly: the pmf is ``count / 2**n`` and ``|psi|**2`` is
+    ``abs(complex(re, im))**2``, both bit for bit as in ``probs``.
     """
-    n, values, probs = row.n, row.values, row.probs
-    last = len(values) - 1
-    fields = []
-    lines = []
+    n = row.n
     if row.kind == "classical":
-        for k, (c, p) in enumerate(zip(values, probs)):
-            j = last - k
-            if j < k and c and p and c == values[j] and p == probs[j]:
-                text = fields[j]
-            else:
-                text = f"{c},{p!r}"
-            fields.append(text)
-            lines.append(f"{n},{k},{text}")
-        return "\n".join(lines) + "\n"
-    for k, (a, p) in enumerate(zip(values, probs)):
-        j = last - k
-        re, im = a.real, a.imag
-        if (j < k and re and im and p and re == values[j].real and im == -values[j].imag
-                and p == probs[j]):
-            re_text, im_text, p_text = fields[j]
-            im_text = im_text[1:] if im_text[0] == "-" else "-" + im_text
-        else:
-            re_text, im_text, p_text = repr(re), repr(im), repr(p)
-        fields.append((re_text, im_text, p_text))
-        lines.append(f"{n},{k},{re_text},{im_text},{p_text}")
-    return "\n".join(lines) + "\n"
+        return "".join([f"{n},{k},{c}\n" for k, c in enumerate(row.values)])
+    return "".join([f"{n},{k},{a.real!r},{a.imag!r}\n" for k, a in enumerate(row.values)])

@@ -268,13 +268,15 @@ def test_triangle_classical_rows(tmp_path):
     code = main(["triangle", "--n-max", "4", "--kind", "classical", "--out", str(out)])
     assert code == EXIT_OK
     header, rows = read_table(out / "classical_rows.csv")
-    assert header == "n,k,count,pmf"
+    assert header == "n,k,count"
     assert len(rows) == 15
-    assert [count for n, _, count, _ in rows if n == "4"] == ["1", "4", "6", "4", "1"]
+    assert [count for n, _, count in rows if n == "4"] == ["1", "4", "6", "4", "1"]
     assert not (out / "quantum_rows.csv").exists()
-    # no amplitude row is built, so no check is made
+    # no amplitude row is built, so only the Pascal rows are judged
     verdict = json.loads((out / "verdict.json").read_text())
-    assert verdict == {"checks": [], "all_passed": True}
+    assert verdict == {"checks": [{"name": "classical_row_defects", "statistic": 0,
+                                   "threshold": 0, "passed": True}],
+                       "all_passed": True}
     assert not (out / "modulus_residuals.csv").exists()
 
 
@@ -284,6 +286,8 @@ def test_triangle_quantum_residual_verdict(tmp_path):
     assert code == EXIT_OK
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["max_modulus_residual"] <= 1e-10
+    assert [check["name"] for check in verdict["checks"]] == \
+        ["classical_row_defects", "max_modulus_relative_residual"]
     assert (out / "modulus_residuals.csv").exists()
     assert (out / "sup_error.csv").exists()
 
@@ -302,18 +306,36 @@ def test_triangle_both_emits_two_kinds(tmp_path):
     assert main(["triangle", "--n-max", "40", "--kind", "both", "--out", str(out)]) == EXIT_OK
     header = (out / "sup_error.csv").read_text().splitlines()[0]
     assert header == "n,classical_sup_error,quantum_sup_error"
-    # Both tables round-trip bit for bit, the signed zeros of row 1 included.
+    # Both tables round-trip bit for bit, the signed zeros of row 1 included,
+    # and give back each profile: count / 2**n and abs(complex(re, im))**2.
     header, rows = read_table(out / "classical_rows.csv")
-    assert header == "n,k,count,pmf"
-    assert [(int(n), int(k), int(count), float(pmf).hex()) for n, k, count, pmf in rows] == [
+    assert header == "n,k,count"
+    assert [(int(n), int(k), int(count), (int(count) / 2 ** int(n)).hex())
+            for n, k, count in rows] == [
         (n, k, count, pmf.hex()) for n in range(41) for row in [triangle.classical_row(n)]
         for k, (count, pmf) in enumerate(zip(row.values, row.probs))]
     header, rows = read_table(out / "quantum_rows.csv")
-    assert header == "n,k,re,im,modulus2"
-    assert [(int(n), int(k), *(float(x).hex() for x in floats)) for n, k, *floats in rows] == [
+    assert header == "n,k,re,im"
+    assert [(int(n), int(k), float(re).hex(), float(im).hex(),
+             (abs(complex(float(re), float(im))) ** 2).hex()) for n, k, re, im in rows] == [
         (n, k, a.real.hex(), a.imag.hex(), p.hex()) for n in range(1, 41)
         for row in [triangle.qtpt_row(n)] for k, (a, p) in enumerate(zip(row.values, row.probs))]
-    assert [im for n, _, _, im, _ in rows if n == "1"] == ["0.0", "0.0"]
+    assert [im for n, _, _, im in rows if n == "1"] == ["0.0", "0.0"]
+
+
+def test_triangle_nan_modulus_is_not_dropped(tmp_path, monkeypatch):
+    # The last amplitude of each row is NaN: max would drop it, since it is
+    # never first.  The residuals reach NaN, so the run exits 1, writing nothing.
+    qtpt_row = triangle.qtpt_row
+
+    def last_nan(n, classical):
+        values = [*qtpt_row(n, classical).values[:-1], complex(math.nan, 0.0)]
+        return triangle.TriangleRow(n, values, "quantum", [abs(a) ** 2 for a in values])
+
+    monkeypatch.setattr(triangle, "qtpt_row", last_nan)
+    out = tmp_path / "tri"
+    assert main(["triangle", "--n-max", "5", "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
 
 
 def test_triangle_builds_one_gaussian_row_per_n(tmp_path, monkeypatch):

@@ -17,9 +17,9 @@ MANIFEST_GOLDEN = {
     "fig3": (["fig3", "--seed", "7", "--trials", "300", "--steps", "16"],
              "fd90d882ff80f3d924dcdde1497c68fa47c1e240be3741de3a0477f5a9441628"),
     "triangle-40-both": (["triangle", "--n-max", "40", "--kind", "both"],
-                         "201c0512d4e3ced980c97c1ffe1d49e057000213285d2c99ea7230d5a02a0c6e"),
+                         "3fc2c2aad3dccd71e8d2f2b77925dca6d5868bf3ba62d1687227324ae260f4a2"),
     "triangle-25-quantum": (["triangle", "--n-max", "25", "--kind", "quantum"],
-                            "3f04c67dc374d3cc2761d7a2c498406b907dda8713a703087fc58d23603a99fe"),
+                            "8b53d8eacb4274cefad94d6e09ba120527b57b366e2f63e14616dae5733a4d1b"),
     "geometry-all": (["geometry", "--report", "all", "--circle-n", "64",
                       "--sphere-samples", "2000", "--seed", "3"],
                      "53aa96fb268be36ce540f56ca55252a6dcd7c2066768a387ae75dbca37852355"),

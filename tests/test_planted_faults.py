@@ -73,6 +73,19 @@ def gaussian_zero(original, n):
     return [0.0] * (n + 1)
 
 
+def pascal_edge_two(original, row):
+    n, counts = row.n + 1, [2, *original(row).values[1:-1], 2]
+    return triangle.TriangleRow(n, counts, "classical", [c / (1 << n) for c in counts])
+
+
+def tail_amplitudes_zeroed(original, n, classical):
+    # Every amplitude whose pmf is under 1e-10: each absolute gap stays under
+    # 1e-10, each relative one reads 1.
+    row = original(n, classical)
+    values = [0j if p < 1e-10 else a for a, p in zip(row.values, classical.probs)]
+    return triangle.TriangleRow(n, values, "quantum", [abs(a) ** 2 for a in values])
+
+
 def parcel_one_minus_one(original, *args, **kwargs):
     return original(*args, **kwargs, parcel=(1.0, -1.0))
 
@@ -107,6 +120,10 @@ def length_rule_without_tolerance(original, length, tol):
                  marks=TRIANGLE_BLIND, id="triangle-gaussian-variance-x1.5"),
     pytest.param(TRIANGLE, triangle, "gaussian_approx_row", gaussian_zero, None,
                  marks=TRIANGLE_BLIND, id="triangle-gaussian-zero"),
+    pytest.param(TRIANGLE, triangle, "next_classical_row", pascal_edge_two,
+                 "classical_row_defects", id="triangle-pascal-edge-two"),
+    pytest.param(TRIANGLE, triangle, "qtpt_row", tail_amplitudes_zeroed,
+                 "max_modulus_relative_residual", id="triangle-tail-amplitudes-zeroed"),
     pytest.param(FIG3, stochastic, "_reduce_block", parcel_one_minus_one,
                  "square_identity_max_step", id="fig3-parcel-one-minus-one"),
     pytest.param(["kernels"], kernels, "schrodinger_kernel", conjugated_propagator,

@@ -45,18 +45,18 @@ FIG3_9001_GOLDEN = {
 # its file name in the output directory; manifest.json is left out for the
 # same reason as above.
 TRIANGLE_40_BOTH_GOLDEN = {
-    "classical_rows.csv": "2d6715b6d0d7062e47832995dc42ce1d9825e66f247436d925e8b031b728cb9d",
+    "classical_rows.csv": "129bf07e1ae77388539618580078781dcfefd48325d095aacde537b197fb51d3",
     "modulus_residuals.csv": "21a8599201577d4632340ce4ecfe1763a4ca661a754c4ca27a0b21bee1793704",
-    "quantum_rows.csv": "5b5d9581a374f791db87124ab638b466e196c8e48fe256ed02c0f5e2ee6b80d3",
+    "quantum_rows.csv": "3c51a72c099456953e1dd6f1eef1b6a8839e91c33a0b3abdfd91682e3e257948",
     "sup_error.csv": "625216786c953658ad73d5058fdd28b6ac79346d3f89969658f51a927c7c9e0c",
-    "verdict.json": "1a85498aacb8524b66c56d880895571b57d63f4c25ef752724993ed155a55724",
+    "verdict.json": "314b9bd17e6e8662fc0691505b2307513eff907c439db384c6c8c017735bbafe",
 }
 
 TRIANGLE_25_QUANTUM_GOLDEN = {
     "modulus_residuals.csv": "eeaecb6f461cba17d466978daa85071be602892f3e8e50b595635ba5d935fc05",
-    "quantum_rows.csv": "5ef39bd3b92fe0cfaa50066783016ef8a6aebdbcade94c82740b1385baa89807",
+    "quantum_rows.csv": "fafcea1d1ab458910b83d150c751d80264c76a13b605c67d6e7ed62f45c1845e",
     "sup_error.csv": "ad77ef29a8fbff0ed6a798d3287c960181907a40fcb90e1dd88ae6ff20cb704c",
-    "verdict.json": "1a85498aacb8524b66c56d880895571b57d63f4c25ef752724993ed155a55724",
+    "verdict.json": "e71d01e35fd8cdc2ca291956f816f50864e5dc55d10e1923c667d72393eda895",
 }
 
 GEOMETRY_ALL_GOLDEN = {

@@ -5,7 +5,6 @@ import pytest
 
 from parcelwalk.triangle import (
     ROW_CSV_HEADER,
-    TriangleRow,
     binomial_pmf,
     classical_row,
     gaussian_approx_row,
@@ -138,22 +137,9 @@ def test_row_sup_error_strictly_decreasing():
 
 
 def test_row_csv_format():
-    assert ROW_CSV_HEADER == {"classical": "n,k,count,pmf\n", "quantum": "n,k,re,im,modulus2\n"}
-    assert row_csv(classical_row(2)) == "2,0,1,0.25\n2,1,2,0.5\n2,2,1,0.25\n"
-    lines = row_csv(qtpt_row(1)).splitlines()
-    assert [line.split(",")[:3] for line in lines] == [["1", "0", "0.7071067811865476"],
-                                                        ["1", "1", "0.7071067811865476"]]
-    assert [len(line.split(",")) for line in lines] == [5, 5]
-
-
-def per_entry_row_csv(row) -> str:
-    """``row_csv`` with every entry formatted on its own."""
-    if row.kind == "classical":
-        lines = [f"{row.n},{k},{c},{p!r}" for k, (c, p) in enumerate(zip(row.values, row.probs))]
-    else:
-        lines = [f"{row.n},{k},{a.real!r},{a.imag!r},{p!r}"
-                 for k, (a, p) in enumerate(zip(row.values, row.probs))]
-    return "\n".join(lines) + "\n"
+    assert ROW_CSV_HEADER == {"classical": "n,k,count\n", "quantum": "n,k,re,im\n"}
+    assert row_csv(classical_row(2)) == "2,0,1\n2,1,2\n2,2,1\n"
+    assert row_csv(qtpt_row(1)) == "1,0,0.7071067811865476,0.0\n1,1,0.7071067811865476,0.0\n"
 
 
 # Every row up to 300 (row 1 and each even row's middle have a zero imaginary
@@ -161,27 +147,26 @@ def per_entry_row_csv(row) -> str:
 ROW_CSV_NS = {*range(301), 511, 512, 999, 1000}
 
 
-def test_row_csv_matches_the_per_entry_formula():
+def test_row_csv_reads_back_each_rows_profile():
+    # A line holds each number once: count / 2**n is the pmf and
+    # abs(complex(re, im))**2 is |psi|**2, bit for bit.
     classical = classical_row(0)
     for n in range(max(ROW_CSV_NS) + 1):
         if n:
             classical = next_classical_row(classical)
-        if n in ROW_CSV_NS:
-            for row in [classical, qtpt_row(n, classical)] if n else [classical]:
-                assert row_csv(row) == per_entry_row_csv(row), (row.kind, n)
-
-
-# Rows whose mirror entries are equal but not each other's text: a count or
-# amplitude that is not symmetric, and components that differ only in the
-# sign of a zero.
-@pytest.mark.parametrize("row", [
-    TriangleRow(3, [1, 3, 2, 1], "classical", [0.125, 0.375, 0.25, 0.125]),
-    TriangleRow(1, [1, 1], "classical", [0.0, -0.0]),
-    TriangleRow(2, [0.5 + 0.25j, 0.7 + 0.1j, 0.5 + 0.25j], "quantum", [0.3125, 0.5, 0.3125]),
-    TriangleRow(1, [complex(0.5, 0.0), complex(0.5, 0.0)], "quantum", [0.25, 0.25]),
-    TriangleRow(1, [complex(0.0, 0.5), complex(-0.0, -0.5)], "quantum", [0.25, 0.25]),
-    TriangleRow(1, [0.5 + 0.5j, 0.5 - 0.5j], "quantum", [0.0, -0.0]),
-], ids=["asymmetric-counts", "signed-zero-pmf", "equal-not-conjugate", "signed-zero-imag",
-        "signed-zero-real", "signed-zero-modulus"])
-def test_row_csv_formats_each_entry_its_mirror_does_not_match(row):
-    assert row_csv(row) == per_entry_row_csv(row)
+        if n not in ROW_CSV_NS:
+            continue
+        lines = [line.split(",") for line in row_csv(classical).splitlines()]
+        assert [(int(m), int(k)) for m, k, _ in lines] == [(n, k) for k in range(n + 1)]
+        assert [int(count) for _, _, count in lines] == classical.values
+        assert [(int(count) / 2**n).hex() for _, _, count in lines] == \
+            [p.hex() for p in classical.probs], n
+        if n:
+            quantum = qtpt_row(n, classical)
+            lines = [line.split(",") for line in row_csv(quantum).splitlines()]
+            assert [(int(m), int(k)) for m, k, _, _ in lines] == [(n, k) for k in range(n + 1)]
+            amplitudes = [complex(float(re), float(im)) for _, _, re, im in lines]
+            assert [(a.real.hex(), a.imag.hex()) for a in amplitudes] == \
+                [(a.real.hex(), a.imag.hex()) for a in quantum.values], n
+            assert [(abs(a) ** 2).hex() for a in amplitudes] == \
+                [p.hex() for p in quantum.probs], n
